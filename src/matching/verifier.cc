@@ -1,8 +1,7 @@
 #include "matching/verifier.h"
 
 #include <algorithm>
-#include <string>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "matching/hungarian.h"
@@ -10,12 +9,49 @@
 
 namespace silkmoth {
 
+namespace {
+
+// One bit per token id modulo 64: elements whose masks share no bit share no
+// token. Ids 64 apart share a bit, which only costs a φ call.
+uint64_t TokenMask(const Element& e) {
+  uint64_t mask = 0;
+  for (TokenId t : e.tokens) mask |= uint64_t{1} << (t & 63);
+  return mask;
+}
+
+void AppendAll(const SetRecord& set, std::vector<const Element*>* out) {
+  for (const Element& e : set.elements) out->push_back(&e);
+}
+
+// φ_α of every (R, S) element pair, no cell skipped: the reference fill of
+// Score() and ScoreWithAlignment(). `stats` is optional.
+WeightMatrix FillDense(const ElementSimilarity& sim, double alpha,
+                       const std::vector<const Element*>& r_elems,
+                       const std::vector<const Element*>& s_elems,
+                       MatchingStats* stats) {
+  WeightMatrix w(r_elems.size(), s_elems.size());
+  for (size_t i = 0; i < r_elems.size(); ++i) {
+    for (size_t j = 0; j < s_elems.size(); ++j) {
+      w.At(i, j) = sim.ScoreThresholded(*r_elems[i], *s_elems[j], alpha);
+    }
+  }
+  if (stats != nullptr) {
+    stats->matrix_rows = r_elems.size();
+    stats->matrix_cols = s_elems.size();
+    stats->similarity_calls += r_elems.size() * s_elems.size();
+  }
+  return w;
+}
+
+}  // namespace
+
 MaxMatchingVerifier::MaxMatchingVerifier(const ElementSimilarity* sim,
                                          double alpha, bool use_reduction)
     : sim_(sim),
       alpha_(alpha),
       reduction_active_(use_reduction && alpha <= kFloatSlack &&
-                        sim->HasMetricDual()) {}
+                        sim->HasMetricDual()),
+      skip_disjoint_(sim->ZeroWhenTokensDisjoint()) {}
 
 size_t MaxMatchingVerifier::SelectElements(
     const SetRecord& r, const SetRecord& s,
@@ -25,65 +61,35 @@ size_t MaxMatchingVerifier::SelectElements(
   s_elems->clear();
   r_elems->reserve(r.elements.size());
   s_elems->reserve(s.elements.size());
-
+  AppendAll(s, s_elems);
   if (!reduction_active_) {
-    for (const Element& e : r.elements) r_elems->push_back(&e);
-    for (const Element& e : s.elements) s_elems->push_back(&e);
+    AppendAll(r, r_elems);
     return 0;
   }
 
   // Pair identical elements greedily: each identical pair (φ = 1) is in
   // some maximum matching when 1-φ obeys the triangle inequality, and the
-  // argument applies inductively to the reduced instance.
+  // argument applies inductively to the reduced instance. Each R element,
+  // in order, takes the first still-free identical S element (its slot is
+  // nulled), so for every identity the first min(count in R, count in S)
+  // elements of each side are peeled and the survivors keep their order.
+  const SimilarityKind kind = sim_->kind();
   size_t reduced = 0;
-  std::unordered_map<std::string, int> s_counts;
-  s_counts.reserve(s.elements.size() * 2);
-  for (const Element& e : s.elements) {
-    s_counts[IdentityKey(e, sim_->kind())] += 1;
-  }
-  std::unordered_map<std::string, int> consumed;  // R-side pairings done.
   for (const Element& e : r.elements) {
-    const std::string key = IdentityKey(e, sim_->kind());
-    auto it = s_counts.find(key);
-    int available = it == s_counts.end() ? 0 : it->second;
-    int& used = consumed[key];
-    if (used < available) {
-      ++used;
-      ++reduced;
-    } else {
+    auto it = std::find_if(s_elems->begin(), s_elems->end(),
+                           [&](const Element* x) {
+                             return x != nullptr &&
+                                    IdenticalElements(e, *x, kind);
+                           });
+    if (it == s_elems->end()) {
       r_elems->push_back(&e);
-    }
-  }
-  // Remove the same multiset of elements from S.
-  std::unordered_map<std::string, int> to_skip = consumed;
-  for (const Element& e : s.elements) {
-    const std::string key = IdentityKey(e, sim_->kind());
-    auto it = to_skip.find(key);
-    if (it != to_skip.end() && it->second > 0) {
-      --it->second;
     } else {
-      s_elems->push_back(&e);
+      *it = nullptr;
+      ++reduced;
     }
   }
+  std::erase(*s_elems, nullptr);
   return reduced;
-}
-
-double MaxMatchingVerifier::ScoreDense(
-    const std::vector<const Element*>& r_elems,
-    const std::vector<const Element*>& s_elems, MatchingStats* stats) const {
-  if (r_elems.empty() || s_elems.empty()) return 0.0;
-  WeightMatrix w(r_elems.size(), s_elems.size());
-  for (size_t i = 0; i < r_elems.size(); ++i) {
-    for (size_t j = 0; j < s_elems.size(); ++j) {
-      w.At(i, j) = sim_->ScoreThresholded(*r_elems[i], *s_elems[j], alpha_);
-    }
-  }
-  if (stats != nullptr) {
-    stats->matrix_rows = r_elems.size();
-    stats->matrix_cols = s_elems.size();
-    stats->similarity_calls += r_elems.size() * s_elems.size();
-  }
-  return MaxWeightMatchingScore(w);
 }
 
 double MaxMatchingVerifier::ScoreWithAlignment(
@@ -91,13 +97,11 @@ double MaxMatchingVerifier::ScoreWithAlignment(
     std::vector<AlignedPair>* alignment) const {
   alignment->clear();
   if (r.Empty() || s.Empty()) return 0.0;
-  WeightMatrix w(r.Size(), s.Size());
-  for (size_t i = 0; i < r.Size(); ++i) {
-    for (size_t j = 0; j < s.Size(); ++j) {
-      w.At(i, j) =
-          sim_->ScoreThresholded(r.elements[i], s.elements[j], alpha_);
-    }
-  }
+  std::vector<const Element*> r_elems;
+  std::vector<const Element*> s_elems;
+  AppendAll(r, &r_elems);
+  AppendAll(s, &s_elems);
+  const WeightMatrix w = FillDense(*sim_, alpha_, r_elems, s_elems, nullptr);
   std::vector<int> row_to_col;
   const double score = MaxWeightMatching(w, &row_to_col);
   for (size_t i = 0; i < r.Size(); ++i) {
@@ -118,7 +122,10 @@ double MaxMatchingVerifier::Score(const SetRecord& r, const SetRecord& s,
   std::vector<const Element*> s_elems;
   const size_t reduced = SelectElements(r, s, &r_elems, &s_elems);
   if (stats != nullptr) stats->reduced_pairs = reduced;
-  return static_cast<double>(reduced) + ScoreDense(r_elems, s_elems, stats);
+  const double base = static_cast<double>(reduced);
+  if (r_elems.empty() || s_elems.empty()) return base;
+  return base + MaxWeightMatchingScore(
+                    FillDense(*sim_, alpha_, r_elems, s_elems, stats));
 }
 
 VerifyDecision MaxMatchingVerifier::ScoreDecision(const SetRecord& r,
@@ -156,9 +163,22 @@ VerifyDecision MaxMatchingVerifier::ScoreDecision(const SetRecord& r,
   WeightMatrix w(rows, cols);
   std::vector<double> row_max(rows, 0.0);
   std::vector<double> col_max(cols, 0.0);
+  // When φ is 0 on token-disjoint elements, a cell whose token masks share
+  // no bit keeps the matrix's 0.0 (exactly what φ would return) and skips
+  // the call; the maxima start at 0.0 too, so they are unchanged. Otherwise
+  // every mask is all-ones and every cell is filled.
+  const auto mask = [this](const Element& e) {
+    return skip_disjoint_ ? TokenMask(e) : ~uint64_t{0};
+  };
+  std::vector<uint64_t> s_mask(cols);
+  for (size_t j = 0; j < cols; ++j) s_mask[j] = mask(*s_elems[j]);
+  size_t calls = 0;
   for (size_t i = 0; i < rows; ++i) {
+    const uint64_t r_mask = mask(*r_elems[i]);
     for (size_t j = 0; j < cols; ++j) {
+      if ((r_mask & s_mask[j]) == 0) continue;
       const double v = sim_->ScoreThresholded(*r_elems[i], *s_elems[j], alpha_);
+      ++calls;
       w.At(i, j) = v;
       row_max[i] = std::max(row_max[i], v);
       col_max[j] = std::max(col_max[j], v);
@@ -167,7 +187,7 @@ VerifyDecision MaxMatchingVerifier::ScoreDecision(const SetRecord& r,
   if (stats != nullptr) {
     stats->matrix_rows = rows;
     stats->matrix_cols = cols;
-    stats->similarity_calls += rows * cols;
+    stats->similarity_calls += calls;
   }
 
   // Upper bound: every matched pair is at most its row maximum and its

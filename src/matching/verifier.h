@@ -15,7 +15,8 @@ struct MatchingStats {
   size_t matrix_rows = 0;       ///< Rows fed to the Hungarian solver.
   size_t matrix_cols = 0;       ///< Columns fed to the Hungarian solver.
   size_t reduced_pairs = 0;     ///< Identical pairs removed by reduction.
-  size_t similarity_calls = 0;  ///< φ evaluations performed.
+  size_t similarity_calls = 0;  ///< φ evaluations performed (cells proven
+                                ///< 0 without a call are not counted).
   size_t bound_accepts = 0;     ///< Decisions settled by the greedy lower bound.
   size_t bound_rejects = 0;     ///< Decisions settled by the maxima upper bound.
   size_t tier2_accepts = 0;     ///< Accepts settled by the local-max tier-2
@@ -70,8 +71,10 @@ class MaxMatchingVerifier {
   /// Bound-guided threshold test (Section 5.3 refinement): is the maximum
   /// matching score at least `theta`?
   ///
-  /// Builds the weight matrix once, then sandwiches the optimum between
-  /// cheap matching lower bounds and the min of the row-maxima and
+  /// Builds the weight matrix once — skipping the φ call on cells whose
+  /// elements share no token when φ is 0 there (Jaccard), which leaves the
+  /// matrix bit-identical to a dense fill — then sandwiches the optimum
+  /// between cheap matching lower bounds and the min of the row-maxima and
   /// column-maxima sums. Tier 1 is a greedy matching (rows in descending
   /// row-max order take their heaviest free column); when it fails to settle
   /// an accept, tier 2 runs the near-linear local-max matching (Birn et al.,
@@ -128,13 +131,10 @@ class MaxMatchingVerifier {
                         std::vector<const Element*>* r_elems,
                         std::vector<const Element*>* s_elems) const;
 
-  double ScoreDense(const std::vector<const Element*>& r_elems,
-                    const std::vector<const Element*>& s_elems,
-                    MatchingStats* stats) const;
-
   const ElementSimilarity* sim_;
   double alpha_;
   bool reduction_active_;
+  bool skip_disjoint_;  ///< ScoreDecision skips token-disjoint cells.
 };
 
 }  // namespace silkmoth

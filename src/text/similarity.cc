@@ -64,6 +64,7 @@ class JaccardSimilarity final : public ElementSimilarity {
  public:
   SimilarityKind kind() const override { return SimilarityKind::kJaccard; }
   bool HasMetricDual() const override { return true; }
+  bool ZeroWhenTokensDisjoint() const override { return true; }
   double Score(const Element& a, const Element& b) const override {
     return JaccardOfSortedTokens(a.tokens, b.tokens);
   }
@@ -73,6 +74,7 @@ class EdsSimilarity final : public ElementSimilarity {
  public:
   SimilarityKind kind() const override { return SimilarityKind::kEds; }
   bool HasMetricDual() const override { return true; }
+  bool ZeroWhenTokensDisjoint() const override { return false; }
   double Score(const Element& a, const Element& b) const override {
     return EdsOfStrings(a.text, b.text);
   }
@@ -95,6 +97,7 @@ class NedsSimilarity final : public ElementSimilarity {
  public:
   SimilarityKind kind() const override { return SimilarityKind::kNeds; }
   bool HasMetricDual() const override { return false; }
+  bool ZeroWhenTokensDisjoint() const override { return false; }
   double Score(const Element& a, const Element& b) const override {
     return NedsOfStrings(a.text, b.text);
   }
@@ -129,16 +132,6 @@ const ElementSimilarity* GetSimilarity(SimilarityKind kind) {
       return &neds;
   }
   return &jaccard;
-}
-
-std::string IdentityKey(const Element& e, SimilarityKind kind) {
-  if (IsEditSimilarity(kind)) return std::string(e.text);
-  std::string key;
-  key.reserve(e.tokens.size() * 5);
-  for (TokenId t : e.tokens) {
-    key.append(reinterpret_cast<const char*>(&t), sizeof(t));
-  }
-  return key;
 }
 
 }  // namespace silkmoth

@@ -1,9 +1,9 @@
 #ifndef SILKMOTH_TEXT_SIMILARITY_H_
 #define SILKMOTH_TEXT_SIMILARITY_H_
 
+#include <algorithm>
 #include <memory>
 #include <span>
-#include <string>
 #include <string_view>
 
 #include "text/dataset.h"
@@ -47,6 +47,11 @@ class ElementSimilarity {
   /// reduction-based verification (Section 5.3): Jaccard and Eds, not NEds.
   virtual bool HasMetricDual() const = 0;
 
+  /// True when φ(a, b) is exactly 0.0 whenever a and b share no token, so a
+  /// caller may skip the call for such pairs: Jaccard. Not the edit
+  /// similarities, whose strings can be close with disjoint q-gram sets.
+  virtual bool ZeroWhenTokensDisjoint() const = 0;
+
   /// Plain φ(a, b) with no threshold.
   virtual double Score(const Element& a, const Element& b) const = 0;
 
@@ -70,9 +75,14 @@ double EdsOfStrings(std::string_view a, std::string_view b);
 /// NEds(a, b) = 1 - LD / max(|a|, |b|) from the raw strings.
 double NedsOfStrings(std::string_view a, std::string_view b);
 
-/// Key identifying elements that are "identical" for the reduction-based
-/// verification: text for edit similarities, token set for Jaccard.
-std::string IdentityKey(const Element& e, SimilarityKind kind);
+/// True when `a` and `b` are "identical" for the reduction-based
+/// verification: equal text for edit similarities, equal token set for
+/// Jaccard.
+inline bool IdenticalElements(const Element& a, const Element& b,
+                              SimilarityKind kind) {
+  if (IsEditSimilarity(kind)) return a.text == b.text;
+  return std::ranges::equal(a.tokens, b.tokens);
+}
 
 }  // namespace silkmoth
 

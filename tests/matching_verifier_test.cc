@@ -110,7 +110,8 @@ TEST(VerifierTest, AlphaZeroesWeakEdges) {
 }
 
 // Property: reduction never changes the score, across random Jaccard and Eds
-// instances with planted duplicates.
+// instances with planted duplicates; and ScoreDecision's exact score is
+// Score()'s bit for bit, with at most one φ call per matrix cell.
 class ReductionEquivalenceSweep
     : public ::testing::TestWithParam<SimilarityKind> {};
 
@@ -151,6 +152,22 @@ TEST_P(ReductionEquivalenceSweep, ScoreUnchanged) {
     EXPECT_NEAR(plain.Score(r, data.sets[0]), reduced.Score(r, data.sets[0]),
                 1e-9)
         << "trial " << trial;
+    // θ = 0 ends every decision in a solve (or the trivial all-reduced
+    // path), so the reported score is exact. Edit similarities fill every
+    // cell: short strings with disjoint q-gram sets ("w1", "w2") still score.
+    for (const MaxMatchingVerifier* v : {&plain, &reduced}) {
+      MatchingStats stats;
+      const VerifyDecision d = v->ScoreDecision(
+          r, data.sets[0], 0.0, &stats, kFloatSlack, /*need_exact_score=*/true);
+      ASSERT_TRUE(d.exact) << "trial " << trial;
+      EXPECT_EQ(d.score, v->Score(r, data.sets[0])) << "trial " << trial;
+      const size_t cells = stats.matrix_rows * stats.matrix_cols;
+      if (edit) {
+        EXPECT_EQ(stats.similarity_calls, cells) << "trial " << trial;
+      } else {
+        EXPECT_LE(stats.similarity_calls, cells) << "trial " << trial;
+      }
+    }
   }
 }
 

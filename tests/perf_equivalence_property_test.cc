@@ -8,16 +8,23 @@
 //  2. The bound-guided verifier (ScoreDecision) never changes an
 //     accept/reject decision relative to exact verification, its bounds
 //     always sandwich the exact matching score, and the exact Hungarian
-//     solver runs only in the ambiguous band lower < θ <= upper.
+//     solver runs only in the ambiguous band lower < θ <= upper. Every exact
+//     or reporting score it returns is bit-identical to the pre-refactor
+//     reference — the hash-map reduction peel rebuilt here, then a dense φ
+//     fill and the solver — while it makes at most one φ call per matrix
+//     cell, and fewer when φ is Jaccard (token-disjoint cells need none).
 //  3. The full search pass (scratch accumulator + bound-guided verification)
 //     reports the same accepted pairs with the same scores (within
 //     kFloatSlack) as the pre-refactor pipeline.
 //
-// All three properties are swept across the three workload shapes: the
-// SET-SIMILARITY and SET-CONTAINMENT metrics over word tokens (Jaccard), and
-// edit similarity (Eds over q-grams).
+// All three properties are swept across the workload shapes: the
+// SET-SIMILARITY and SET-CONTAINMENT metrics over word tokens (Jaccard) on
+// titles, SET-CONTAINMENT over column sets (many 1-3-token elements with
+// planted identical ones, so reduction and the token-disjoint skip both
+// fire), and edit similarity (Eds over q-grams).
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -28,8 +35,10 @@
 #include "core/search_pass.h"
 #include "datagen/builders.h"
 #include "datagen/dblp.h"
+#include "datagen/webtable.h"
 #include "filter/check_filter.h"
 #include "filter/nn_filter.h"
+#include "matching/hungarian.h"
 #include "matching/verifier.h"
 #include "sig/scheme.h"
 #include "text/similarity.h"
@@ -43,6 +52,7 @@ struct WorkloadConfig {
   SimilarityKind phi;
   double delta;
   double alpha;
+  bool columns = false;  ///< Column sets instead of DBLP titles.
 };
 
 Options MakeOptions(const WorkloadConfig& cfg) {
@@ -56,6 +66,11 @@ Options MakeOptions(const WorkloadConfig& cfg) {
 }
 
 Collection MakeData(const WorkloadConfig& cfg, size_t sets, uint64_t seed) {
+  if (cfg.columns) {
+    return BuildCollection(
+        GenerateColumnSets(InclusionDependencyDefaults(sets, seed)),
+        TokenizerKind::kWord);
+  }
   DblpParams p;
   p.num_titles = sets;
   p.vocabulary = 60;
@@ -166,6 +181,72 @@ std::vector<SearchMatch> ReferenceVerify(const SetRecord& ref,
   return results;
 }
 
+// The reduction's identity key exactly as similarity.cc had it before the
+// scan-based peel: the text for edit similarities, the token-id bytes for
+// Jaccard.
+std::string ReferenceIdentityKey(const Element& e, SimilarityKind kind) {
+  if (IsEditSimilarity(kind)) return std::string(e.text);
+  std::string key;
+  for (TokenId t : e.tokens) {
+    key.append(reinterpret_cast<const char*>(&t), sizeof(t));
+  }
+  return key;
+}
+
+// Score() exactly as it was before the scan-based peel and the sparse fill:
+// the hash-map reduction peel (one key string per element, three
+// unordered_maps), then a dense φ fill of the survivors and the exact solver.
+double ReferenceExactScore(const SetRecord& r, const SetRecord& s,
+                           const Options& options) {
+  const ElementSimilarity* sim = GetSimilarity(options.phi);
+  const bool reduce = options.reduction && options.alpha <= kFloatSlack &&
+                      sim->HasMetricDual();
+  std::vector<const Element*> r_elems;
+  std::vector<const Element*> s_elems;
+  size_t reduced = 0;
+  if (!reduce) {
+    for (const Element& e : r.elements) r_elems.push_back(&e);
+    for (const Element& e : s.elements) s_elems.push_back(&e);
+  } else {
+    std::unordered_map<std::string, int> s_counts;
+    for (const Element& e : s.elements) {
+      s_counts[ReferenceIdentityKey(e, options.phi)] += 1;
+    }
+    std::unordered_map<std::string, int> consumed;
+    for (const Element& e : r.elements) {
+      const std::string key = ReferenceIdentityKey(e, options.phi);
+      auto it = s_counts.find(key);
+      const int available = it == s_counts.end() ? 0 : it->second;
+      int& used = consumed[key];
+      if (used < available) {
+        ++used;
+        ++reduced;
+      } else {
+        r_elems.push_back(&e);
+      }
+    }
+    std::unordered_map<std::string, int> to_skip = consumed;
+    for (const Element& e : s.elements) {
+      auto it = to_skip.find(ReferenceIdentityKey(e, options.phi));
+      if (it != to_skip.end() && it->second > 0) {
+        --it->second;
+      } else {
+        s_elems.push_back(&e);
+      }
+    }
+  }
+  const double base = static_cast<double>(reduced);
+  if (r_elems.empty() || s_elems.empty()) return base;
+  WeightMatrix w(r_elems.size(), s_elems.size());
+  for (size_t i = 0; i < r_elems.size(); ++i) {
+    for (size_t j = 0; j < s_elems.size(); ++j) {
+      w.At(i, j) =
+          sim->ScoreThresholded(*r_elems[i], *s_elems[j], options.alpha);
+    }
+  }
+  return base + MaxWeightMatchingScore(w);
+}
+
 // The full pre-refactor search pass: reference accumulator, shared NN
 // filter, exact verification.
 std::vector<SearchMatch> ReferenceSearchPass(const SetRecord& ref,
@@ -232,6 +313,9 @@ TEST_P(PerfEquivalenceSweep, BoundDecisionsMatchExactVerification) {
 
   size_t bound_settled = 0;
   size_t exact_solved = 0;
+  size_t similarity_calls = 0;
+  size_t matrix_cells = 0;
+  size_t reduced_pairs = 0;
   for (uint32_t r = 0; r < data.sets.size(); ++r) {
     for (uint32_t s = 0; s < data.sets.size(); ++s) {
       const SetRecord& rs = data.sets[r];
@@ -246,9 +330,21 @@ TEST_P(PerfEquivalenceSweep, BoundDecisionsMatchExactVerification) {
       const double margin =
           kFloatSlack * (static_cast<double>(rs.Size() + ss.Size()) + 2.0);
       const double exact = verifier.Score(rs, ss);
+      const double reference = ReferenceExactScore(rs, ss, opt);
+      EXPECT_EQ(exact, reference) << cfg.name;
       MatchingStats stats;
       const VerifyDecision d =
           verifier.ScoreDecision(rs, ss, theta, &stats, margin);
+      if (d.exact) {
+        EXPECT_EQ(d.score, reference) << cfg.name;
+      }
+
+      // At most one φ call per cell of the (reduced) matrix.
+      const size_t cells = stats.matrix_rows * stats.matrix_cols;
+      EXPECT_LE(stats.similarity_calls, cells) << cfg.name;
+      similarity_calls += stats.similarity_calls;
+      matrix_cells += cells;
+      reduced_pairs += stats.reduced_pairs;
 
       // The bounds must sandwich the exact optimum.
       EXPECT_LE(d.lower, exact + kFloatSlack) << cfg.name;
@@ -266,7 +362,6 @@ TEST_P(PerfEquivalenceSweep, BoundDecisionsMatchExactVerification) {
       if (stats.exact_solves == 1) {
         EXPECT_LT(d.lower, theta + margin) << cfg.name;
         EXPECT_GE(d.upper, theta - margin) << cfg.name;
-        EXPECT_DOUBLE_EQ(d.score, exact) << cfg.name;
         EXPECT_TRUE(d.exact);
         ++exact_solved;
       } else {
@@ -286,7 +381,7 @@ TEST_P(PerfEquivalenceSweep, BoundDecisionsMatchExactVerification) {
             rs, ss, theta, &rstats, margin, /*need_exact_score=*/true);
         EXPECT_TRUE(dr.related);
         EXPECT_TRUE(dr.exact);
-        EXPECT_DOUBLE_EQ(dr.score, exact) << cfg.name;
+        EXPECT_EQ(dr.score, reference) << cfg.name;
         EXPECT_EQ(rstats.exact_solves, 0u);
         // The trivial path (both sides consumed by reduction) is exact with
         // no solve at all; every other bound-settled accept pays exactly one
@@ -301,6 +396,16 @@ TEST_P(PerfEquivalenceSweep, BoundDecisionsMatchExactVerification) {
   // path; the ambiguous band may legitimately be empty.
   EXPECT_GT(bound_settled, 0u) << cfg.name;
   EXPECT_GT(bound_settled + exact_solved, 100u) << cfg.name;
+  // Only a φ that is 0 on token-disjoint elements skips cells, and on these
+  // corpora it must actually skip some; an active reduction must peel some.
+  if (GetSimilarity(opt.phi)->ZeroWhenTokensDisjoint()) {
+    EXPECT_LT(similarity_calls, matrix_cells) << cfg.name;
+  } else {
+    EXPECT_EQ(similarity_calls, matrix_cells) << cfg.name;
+  }
+  if (verifier.ReductionActive()) {
+    EXPECT_GT(reduced_pairs, 0u) << cfg.name;
+  }
 }
 
 // A caller-supplied margin below kFloatSlack used to let the bound reject
@@ -381,6 +486,8 @@ INSTANTIATE_TEST_SUITE_P(
                        SimilarityKind::kJaccard, 0.6, 0.4},
         WorkloadConfig{"containment_jaccard", Relatedness::kContainment,
                        SimilarityKind::kJaccard, 0.7, 0.0},
+        WorkloadConfig{"containment_columns", Relatedness::kContainment,
+                       SimilarityKind::kJaccard, 0.7, 0.0, /*columns=*/true},
         WorkloadConfig{"similarity_eds", Relatedness::kSimilarity,
                        SimilarityKind::kEds, 0.5, 0.6}),
     [](const ::testing::TestParamInfo<WorkloadConfig>& info) {

@@ -1,5 +1,6 @@
 #include "text/similarity.h"
 
+#include <cmath>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -190,24 +191,39 @@ TEST(MetricDualFlagTest, MatchesPaper) {
   EXPECT_FALSE(GetSimilarity(SimilarityKind::kNeds)->HasMetricDual());
 }
 
-TEST(IdentityKeyTest, JaccardUsesTokenSet) {
+TEST(ZeroWhenTokensDisjointFlagTest, OnlyJaccard) {
+  TokenDictionary dict;
+  Element a = WordElem("a b", &dict);
+  Element b = WordElem("c d", &dict);
+  const ElementSimilarity* jac = GetSimilarity(SimilarityKind::kJaccard);
+  EXPECT_TRUE(jac->ZeroWhenTokensDisjoint());
+  // Exactly +0.0: the value a skipped verifier cell keeps.
+  EXPECT_EQ(jac->Score(a, b), 0.0);
+  EXPECT_FALSE(std::signbit(jac->Score(a, b)));
+  // Strings with disjoint q-gram sets can still be close: "abc" and "acb"
+  // share no 2-gram, yet LD = 2 gives Eds = 1/2 and NEds = 1/3.
+  EXPECT_FALSE(GetSimilarity(SimilarityKind::kEds)->ZeroWhenTokensDisjoint());
+  EXPECT_GT(EdsOfStrings("abc", "acb"), 0.0);
+  EXPECT_FALSE(GetSimilarity(SimilarityKind::kNeds)->ZeroWhenTokensDisjoint());
+  EXPECT_GT(NedsOfStrings("abc", "acb"), 0.0);
+}
+
+TEST(IdenticalElementsTest, JaccardUsesTokenSet) {
   TokenDictionary dict;
   Element a = WordElem("b a", &dict);
   Element b = WordElem("a b", &dict);
   Element c = WordElem("a c", &dict);
-  EXPECT_EQ(IdentityKey(a, SimilarityKind::kJaccard),
-            IdentityKey(b, SimilarityKind::kJaccard));
-  EXPECT_NE(IdentityKey(a, SimilarityKind::kJaccard),
-            IdentityKey(c, SimilarityKind::kJaccard));
+  EXPECT_TRUE(IdenticalElements(a, b, SimilarityKind::kJaccard));
+  EXPECT_FALSE(IdenticalElements(a, c, SimilarityKind::kJaccard));
 }
 
-TEST(IdentityKeyTest, EditUsesText) {
+TEST(IdenticalElementsTest, EditUsesText) {
   TokenDictionary dict;
   Element a = WordElem("b a", &dict);
   Element b = WordElem("a b", &dict);
-  EXPECT_NE(IdentityKey(a, SimilarityKind::kEds),
-            IdentityKey(b, SimilarityKind::kEds));
-  EXPECT_EQ(IdentityKey(a, SimilarityKind::kEds), "b a");
+  Element a2 = WordElem("b a", &dict);
+  EXPECT_FALSE(IdenticalElements(a, b, SimilarityKind::kEds));
+  EXPECT_TRUE(IdenticalElements(a, a2, SimilarityKind::kEds));
 }
 
 TEST(KindNameTest, Names) {
