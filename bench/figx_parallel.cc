@@ -1,7 +1,7 @@
 // Extension (not a paper figure): parallel + sharded discovery scaling.
 // The paper leaves distribution as future work; this repository adds
 // (a) shared-memory parallelism over reference sets within one index,
-// (b) a sharded engine that partitions the indexed collection into
+// (b) sharding: the engine partitions the indexed collection into
 // contiguous shards, each with its own CSR index (the primitive behind a
 // multi-process split), and (c) query-vs-corpus mode: an external reference
 // block streamed against the prebuilt indexes (the serve-traffic shape).
@@ -12,7 +12,7 @@
 
 #include "bench/histogram.h"
 #include "bench_common.h"
-#include "core/sharded_engine.h"
+#include "core/engine.h"
 #include "datagen/webtable.h"
 
 namespace {
@@ -20,8 +20,8 @@ namespace {
 using namespace silkmoth;
 using namespace silkmoth::bench;
 
-/// One timed sharded-engine discovery run (index build included in
-/// build(s), excluded from time(s)).
+/// One timed sharded discovery run (index build included in build(s),
+/// excluded from time(s)).
 struct ShardedRun {
   double build_seconds = 0.0;
   double seconds = 0.0;
@@ -31,7 +31,7 @@ struct ShardedRun {
 ShardedRun RunSharded(const Workload& w) {
   ShardedRun r;
   WallTimer build_timer;
-  ShardedEngine engine(&w.data, w.options);
+  SilkMoth engine(&w.data, w.options);
   r.build_seconds = build_timer.ElapsedSeconds();
   if (!engine.ok()) {
     std::fprintf(stderr, "bad options: %s\n", engine.error().c_str());
@@ -75,7 +75,7 @@ int main() {
   // where the partitioning overhead sits before the work is actually
   // distributed across processes. Threads are fixed at 4 to keep the two
   // sweeps comparable.
-  std::printf("\n-- shards (ShardedEngine, threads=4) --\n");
+  std::printf("\n-- shards (threads=4) --\n");
   TablePrinter shards_table({"shards", "build(s)", "time(s)", "refs/s",
                              "results", "identical"});
   for (int shards : {1, 2, 4, 8, 16}) {
@@ -98,8 +98,8 @@ int main() {
   // through the prebuilt shard indexes — the query-vs-corpus workload the
   // snapshot protocol serves out of process. The corpus indexes are built
   // once per shard count; queries reuse them, so time(s) is pure serving
-  // cost. Identity: every shard count must reproduce the single-index
-  // SilkMoth::Discover result on the same block.
+  // cost. Identity: every shard count must reproduce the 1-shard,
+  // 1-thread Discover result on the same block.
   std::printf("\n-- query mode (external reference block, threads=4) --\n");
   // The payload re-derives a quarter of the corpus's raw sets (same
   // generator, same seed as SchemaMatchingWorkload), so every query has at
@@ -125,7 +125,7 @@ int main() {
     w.options.num_threads = 4;
     w.options.num_shards = shards;
     WallTimer build_timer;
-    ShardedEngine engine(&w.data, w.options);
+    SilkMoth engine(&w.data, w.options);
     const double build_seconds = build_timer.ElapsedSeconds();
     if (!engine.ok()) {
       std::fprintf(stderr, "bad options: %s\n", engine.error().c_str());

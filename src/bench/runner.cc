@@ -49,18 +49,23 @@ struct WorkerState {
   std::string error;           ///< First serve-lane failure ("" = clean).
 };
 
-/// Serves requests [begin, end) of `blocks` once, recording per-request
-/// latency. Funnel counters and pair counts go to `state` only when
-/// `count_results` (round 0) — later sustained rounds repeat byte-identical
-/// work, so counting them would just scale the deterministic fields by a
-/// nondeterministic round count.
-void ServeSlice(const ShardedEngine& engine,
+/// Serves requests [begin, end) of `blocks` once through the one
+/// DiscoverAcrossShards driver over `views` — the engine's shard views,
+/// plus the delta view in the dynamic lane (the same call the CLI's
+/// --delta-file replay and the serve daemon's ingest path make) — recording
+/// per-request latency. Funnel counters and pair counts go to `state` only
+/// when `count_results` (round 0) — later sustained rounds repeat
+/// byte-identical work, so counting them would just scale the
+/// deterministic fields by a nondeterministic round count.
+void ServeSlice(const Collection& universe, std::span<const ShardView> views,
+                const Options& options,
                 const std::vector<ReferenceBlock>& blocks, size_t begin,
                 size_t end, bool count_results, WorkerState* state) {
   for (size_t k = begin; k < end; ++k) {
     ShardedSearchStats* stats = count_results ? &state->funnel : nullptr;
     WallTimer timer;
-    const std::vector<PairMatch> matches = engine.Discover(blocks[k], stats);
+    const std::vector<PairMatch> matches =
+        DiscoverAcrossShards(blocks[k], universe, views, options, stats);
     state->latency.RecordSeconds(timer.ElapsedSeconds());
     state->completed++;
     if (count_results) state->pairs += matches.size();
@@ -68,26 +73,34 @@ void ServeSlice(const ShardedEngine& engine,
 }
 
 /// Top-k variant of ServeSlice: each reference set of a request runs
-/// SearchTopK against the single-index engine. Query-side accounting
-/// (query_sets, oov_tokens) is stamped the way Discover stamps it for
-/// external blocks, so the funnel reads the same across serving shapes.
-void ServeTopKSlice(const SilkMoth& engine, const Collection& pool,
+/// SearchAcrossShards in top-k mode over the same views. Query-side
+/// accounting (query_sets, oov_tokens) is stamped the way
+/// DiscoverAcrossShards stamps it for external blocks — once per non-empty
+/// shard slot — so the funnel reads the same across serving shapes.
+void ServeTopKSlice(const Collection& universe,
+                    std::span<const ShardView> views, const Options& options,
+                    const Collection& pool,
                     const std::vector<ReferenceBlock>& blocks, size_t begin,
                     size_t end, size_t top_k, bool count_results,
                     WorkerState* state) {
   for (size_t k = begin; k < end; ++k) {
-    SearchStats* stats = count_results ? &state->funnel.per_shard[0] : nullptr;
+    ShardedSearchStats* stats = count_results ? &state->funnel : nullptr;
     WallTimer timer;
     size_t pairs = 0;
-    for (uint32_t r = blocks[k].range.begin; r < blocks[k].range.end; ++r) {
-      pairs += engine.SearchTopK(pool.sets[r], top_k, stats).size();
+    for (uint32_t r = blocks[k].begin_id(); r < blocks[k].end_id(); ++r) {
+      pairs += SearchAcrossShards(pool.sets[r], universe, views, options,
+                                  stats, top_k)
+                   .size();
     }
     state->latency.RecordSeconds(timer.ElapsedSeconds());
     state->completed++;
     if (count_results) {
       state->pairs += pairs;
-      stats->query_sets += blocks[k].range.end - blocks[k].range.begin;
-      stats->oov_tokens += blocks[k].oov_tokens;
+      for (size_t s = 0; s < views.size(); ++s) {
+        if (views[s].range.begin == views[s].range.end) continue;
+        stats->per_shard[s].query_sets += blocks[k].NumRefs();
+        stats->per_shard[s].oov_tokens += blocks[k].oov_tokens;
+      }
     }
   }
 }
@@ -142,26 +155,6 @@ void ServeFrameSlice(serve::ServeEngine& engine,
   }
 }
 
-/// Dynamic-corpus variant of ServeSlice: requests stream through the base
-/// shard views plus the delta view via the one DiscoverAcrossShards
-/// driver — the same call the CLI's --delta-file replay and the serve
-/// daemon's ingest path make, so the bench measures the production
-/// base+delta serving shape.
-void ServeDeltaSlice(const Collection& universe,
-                     std::span<const ShardView> views, const Options& options,
-                     const std::vector<ReferenceBlock>& blocks, size_t begin,
-                     size_t end, bool count_results, WorkerState* state) {
-  for (size_t k = begin; k < end; ++k) {
-    ShardedSearchStats* stats = count_results ? &state->funnel : nullptr;
-    WallTimer timer;
-    const std::vector<PairMatch> matches =
-        DiscoverAcrossShards(blocks[k], universe, views, options, stats);
-    state->latency.RecordSeconds(timer.ElapsedSeconds());
-    state->completed++;
-    if (count_results) state->pairs += matches.size();
-  }
-}
-
 }  // namespace
 
 std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
@@ -203,18 +196,14 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
               : corpus_raw,
       tok, options.EffectiveQ());
 
-  // Standard serving goes through ShardedEngine::Discover; top-k serving
-  // goes through the single-index SilkMoth::SearchTopK (the floating-floor
-  // pass has no sharded counterpart), so top-k specs must be single-shard.
+  // The direct lanes build one SilkMoth engine and stream requests through
+  // the shard drivers over its shard views: DiscoverAcrossShards for
+  // standard serving, SearchAcrossShards in top-k mode for top-k specs.
   // Serve-lane specs pack the corpus into an in-memory Snapshot and start a
   // resident ServeEngine instead — requests then travel the daemon's
   // admission/worker path.
   const bool topk = spec.top_k > 0;
   const bool serving = spec.serve;
-  if (topk && options.num_shards > 1) {
-    return "workload '" + spec.name +
-           "': top_k serving is single-index; num_shards must be 1";
-  }
   if (serving && topk) {
     return "workload '" + spec.name +
            "': the serve engine has no top-k path; top_k must be 0";
@@ -224,8 +213,7 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
            "': delta_sets runs the direct lane only; top_k must be 0 and "
            "serve false";
   }
-  std::optional<ShardedEngine> engine;
-  std::optional<SilkMoth> single;
+  std::optional<SilkMoth> engine;
   std::optional<serve::ServeEngine> served;
   if (serving) {
     serve::ServeOptions so;
@@ -243,21 +231,12 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
     if (!err.empty()) {
       return "workload '" + spec.name + "': " + err;
     }
-  } else if (topk) {
-    single.emplace(&corpus, options);
-    if (!single->ok()) {
-      return "workload '" + spec.name + "': " + single->error();
-    }
   } else {
     engine.emplace(&corpus, options);
     if (!engine->ok()) {
       return "workload '" + spec.name + "': " + engine->error();
     }
   }
-  const size_t num_shards =
-      topk ? 1
-           : (serving ? static_cast<size_t>(std::max(options.num_shards, 1))
-                      : engine->num_shards());
 
   // The timed ingest: the withheld tail goes through one DeltaShard batch,
   // interning its OOV tokens into the shared dictionary — the base-then-
@@ -286,19 +265,18 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
   out->corpus_elements = universe.NumElements();
   out->corpus_tokens = universe.dict->size();
 
-  // Base shard views + the delta view, the dynamic lane's shard universe —
-  // one extra trailing funnel slot, the same shape the serve daemon and
-  // the --delta-file replay hand to DiscoverAcrossShards.
+  // The direct lanes' shard universe: the engine's shard views, plus the
+  // delta view in the dynamic lane — one extra trailing funnel slot, the
+  // same shape the serve daemon and the --delta-file replay hand to
+  // DiscoverAcrossShards.
   std::vector<ShardView> views;
-  if (dynamic) {
-    views.reserve(num_shards + 1);
-    for (size_t s = 0; s < num_shards; ++s) {
-      views.push_back(ShardView{engine->shard_range(s),
-                                &engine->shard_index(s)});
-    }
-    views.push_back(delta->View());
+  if (!serving) {
+    views.assign(engine->shards().begin(), engine->shards().end());
+    if (dynamic) views.push_back(delta->View());
   }
-  const size_t funnel_slots = dynamic ? views.size() : num_shards;
+  const size_t funnel_slots =
+      serving ? static_cast<size_t>(std::max(options.num_shards, 1))
+              : views.size();
 
   const std::vector<uint32_t> stream =
       GenerateRequestStream(spec, corpus_raw.size());
@@ -354,7 +332,7 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
   if (dynamic) {
     WallTimer pre_timer;
     for (const ReferenceBlock& block : blocks) {
-      out->pairs_pre_ingest += engine->Discover(block, nullptr).size();
+      out->pairs_pre_ingest += engine->Discover(block).size();
     }
     out->pre_ingest_seconds = pre_timer.ElapsedSeconds();
   }
@@ -418,13 +396,11 @@ std::string RunWorkload(const WorkloadSpec& spec, BenchResult* out) {
         WorkerState* state = &states[w];
         const auto serve = [&](bool count_results) {
           if (topk) {
-            ServeTopKSlice(*single, query_pool, blocks, begin, end,
-                           spec.top_k, count_results, state);
-          } else if (dynamic) {
-            ServeDeltaSlice(universe, views, options, blocks, begin, end,
-                            count_results, state);
+            ServeTopKSlice(universe, views, options, query_pool, blocks,
+                           begin, end, spec.top_k, count_results, state);
           } else {
-            ServeSlice(*engine, blocks, begin, end, count_results, state);
+            ServeSlice(universe, views, options, blocks, begin, end,
+                       count_results, state);
           }
         };
         if (spec.mode == RunMode::kClosedLoop) {

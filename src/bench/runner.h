@@ -71,19 +71,20 @@ struct BenchResult {
   uint64_t serve_worker_faults = 0;      ///< Injected worker failures.
 };
 
-/// Runs `spec` end to end: synthesize the corpus, build the sharded engine,
-/// generate the request stream, drive it closed-loop or sustained with
-/// spec.workers client threads, and fill `*out`. Returns "" on success or a
-/// human-readable error (invalid options, empty corpus).
+/// Runs `spec` end to end: synthesize the corpus, build the engine's
+/// spec.options.num_shards shard indexes, generate the request stream,
+/// drive it closed-loop or sustained with spec.workers client threads, and
+/// fill `*out`. Returns "" on success or a human-readable error (invalid
+/// options, empty corpus).
 ///
 /// Execution contract: requests are external ReferenceBlocks served through
-/// ShardedEngine::Discover — the same DiscoverAcrossShards driver every
-/// other discovery mode uses — each request single-threaded
+/// DiscoverAcrossShards over the engine's shard views — the same driver
+/// every other discovery mode uses — each request single-threaded
 /// (options.num_threads is forced to 1), concurrency supplied by `workers`
 /// closed-loop clients over disjoint slices of the pre-generated stream.
-/// Specs with `top_k > 0` serve each reference through the single-index
-/// SilkMoth::SearchTopK instead (the floating-floor pass; requires
-/// num_shards == 1) with the same slicing and round-0 counting rules.
+/// Specs with `top_k > 0` serve each reference through SearchAcrossShards
+/// in top-k mode over the same views instead (the floating-floor pass, at
+/// any shard count) with the same slicing and round-0 counting rules.
 /// Specs with `serve == true` drive an in-process serve::ServeEngine over
 /// its frame protocol instead: the corpus is packed into a Snapshot, each
 /// request is a WriteRawSets payload submitted as a kQuery frame, and the

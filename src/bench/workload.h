@@ -75,10 +75,10 @@ struct WorkloadSpec {
   RunMode mode = RunMode::kClosedLoop;
   double sustained_seconds = 0.4;  ///< Minimum run time (sustained mode).
 
-  /// When positive, each request runs SearchTopK(ref, top_k) instead of
-  /// Search — the KOIOS-style floating-floor serving shape. Top-k serving
-  /// is single-index (SilkMoth, not ShardedEngine), so specs using it must
-  /// keep num_shards at 1.
+  /// When positive, each request runs a top-k search (k = top_k) per
+  /// reference instead of Search — the KOIOS-style floating-floor serving
+  /// shape. Works at any num_shards: each shard keeps its own k best and
+  /// the union is cut to k.
   size_t top_k = 0;
 
   /// When positive, the corpus's last `delta_sets` sets are withheld from

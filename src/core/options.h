@@ -78,10 +78,10 @@ struct Options {
   /// independent of this value).
   int num_threads = 1;
 
-  /// Number of contiguous index shards for ShardedEngine (extension; output
+  /// Number of contiguous index shards SilkMoth builds (extension; output
   /// is independent of this value). 1 means one full index — the classic
   /// single-index engine. Values above the set count leave trailing shards
-  /// empty, which is legal. SilkMoth itself ignores this field.
+  /// empty, which is legal.
   int num_shards = 1;
 
   /// Resolves q (if 0) given phi and alpha. Returns the effective q.

@@ -74,7 +74,7 @@ struct QueryScratch {
   }
 
   /// Releases grossly oversized buffers. A long-lived scratch (e.g. the
-  /// per-thread one behind SilkMoth::Search) grows to the largest collection
+  /// per-thread one behind SearchAcrossShards) grows to the largest collection
   /// it has ever served; when the collections being queried are much
   /// smaller, this re-allocates the arrays down so one huge query does not
   /// pin its memory for the thread's lifetime. Shrinking only happens after

@@ -15,7 +15,10 @@ namespace silkmoth {
 namespace {
 
 /// Top-k preference order: higher relatedness first, lower set id on ties —
-/// the order SearchTopK returns and the heap evicts by.
+/// the order SearchTopK returns and the heap evicts by. File-local on
+/// purpose: a public silkmoth::IsBetterMatch(SearchMatch, SearchMatch)
+/// would make unqualified calls to a same-signature helper in client code
+/// ambiguous through argument-dependent lookup.
 bool IsBetterMatch(const SearchMatch& a, const SearchMatch& b) {
   if (a.relatedness != b.relatedness) return a.relatedness > b.relatedness;
   return a.set_id < b.set_id;
@@ -187,6 +190,43 @@ std::vector<SearchMatch> RunSearchPass(const SetRecord& ref,
               [](const SearchMatch& a, const SearchMatch& b) {
                 return a.set_id < b.set_id;
               });
+  }
+  return results;
+}
+
+std::vector<SearchMatch> SearchAcrossShards(const SetRecord& ref,
+                                            const Collection& data,
+                                            std::span<const ShardView> shards,
+                                            const Options& options,
+                                            ShardedSearchStats* stats,
+                                            size_t top_k) {
+  // One scratch per thread, reused across calls and shards: repeated
+  // searches pay the dense-array allocation once, and BeginQuery's epoch
+  // bump makes cross-shard reuse exactly as safe as cross-reference reuse.
+  // ShrinkTo bounds the retention when a past query against a much larger
+  // collection left oversized buffers behind.
+  static thread_local QueryScratch scratch;
+  scratch.ShrinkTo(data.sets.size());
+
+  std::vector<SearchMatch> results;
+  for (size_t s = 0; s < shards.size(); ++s) {
+    const ShardView& shard = shards[s];
+    if (shard.range.begin == shard.range.end) continue;  // Empty shard.
+    std::vector<SearchMatch> matches = RunSearchPass(
+        ref, data, *shard.index, options, kNoExclude,
+        stats != nullptr ? &stats->per_shard[s] : nullptr, &scratch,
+        shard.range, top_k);
+    // Shard ranges are disjoint and ascending and each shard's matches are
+    // sorted by set id, so appending keeps the global set-id order.
+    if (results.empty()) {
+      results = std::move(matches);
+    } else {
+      results.insert(results.end(), matches.begin(), matches.end());
+    }
+  }
+  if (top_k > 0) {
+    std::sort(results.begin(), results.end(), IsBetterMatch);
+    if (results.size() > top_k) results.resize(top_k);
   }
   return results;
 }

@@ -82,12 +82,13 @@ struct SearchStats {
   std::string CountersJson() const;
 };
 
-/// Statistics for a ShardedEngine run: one SearchStats per shard plus a
-/// derived global view.
+/// Statistics for a run through the shard drivers (SearchAcrossShards,
+/// DiscoverAcrossShards): one SearchStats per shard plus a derived global
+/// view.
 ///
 /// Each shard's slot aggregates every search pass that ran against that
 /// shard's index, across all worker threads (workers keep private copies and
-/// the engine merges them slot-wise at the end, so no atomics are needed —
+/// the driver merges them slot-wise at the end, so no atomics are needed —
 /// the same discipline as SearchStats in threaded discovery).
 ///
 /// Counter semantics shift under sharding: a single reference is streamed
@@ -95,7 +96,9 @@ struct SearchStats {
 /// streamed through shard s, and Total().references sums to
 /// (references × shards), not the reference count. Candidate/verification/
 /// result counters do not double-count — each shard only ever sees its own
-/// set-id range — so their totals match an unsharded run exactly. See
+/// set-id range — so their totals match an unsharded run exactly. The one
+/// exception is top-k search: each shard keeps its own k best, so
+/// `results` counts every shard's kept matches and can exceed k. See
 /// docs/COUNTERS.md for the full reading guide.
 struct ShardedSearchStats {
   std::vector<SearchStats> per_shard;  ///< Indexed by shard id.

@@ -114,7 +114,7 @@ namespace {
 // Shared single-shard driver behind DiscoverShardSelf/DiscoverShardAgainst:
 // runs the in-process DiscoverAcrossShards over a one-shard span, so the
 // parity-critical loop (exclusion, dedup, chunking, sort) is literally the
-// same code ShardedEngine runs and the two execution modes cannot drift.
+// same code SilkMoth runs and the two execution modes cannot drift.
 std::vector<PairMatch> DiscoverShardBlock(const Snapshot& snap, size_t shard,
                                           const ReferenceBlock& block,
                                           const Options& options,

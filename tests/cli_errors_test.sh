@@ -185,6 +185,33 @@ expect_error "query missing delta file" 1 "cannot read" -- \
   query --snapshot "$TMP/corpus.snap" --input "$TMP/corpus.txt" \
   --delta-file "$TMP/no-delta.txt"
 
+# --- Numeric engine flags: junk and out-of-range values are usage errors ----
+# Each flag parses the whole value; a trailing suffix or a value its int
+# field cannot hold exits 2 instead of running with a truncated number. The
+# 20-set corpus keeps even a misparsed --threads from starting many threads.
+expect_error "discover junk delta" 2 "invalid --delta value: 0.5x" -- \
+  discover --data "$TMP/corpus.txt" --delta 0.5x
+expect_error "discover junk alpha" 2 "invalid --alpha value: 0.8x" -- \
+  discover --data "$TMP/corpus.txt" --phi eds --alpha 0.8x
+expect_error "discover junk q" 2 "invalid --q value: 2junk" -- \
+  discover --data "$TMP/corpus.txt" --phi eds --alpha 0.8 --q 2junk
+expect_error "discover junk threads" 2 "invalid --threads value: 2x" -- \
+  discover --data "$TMP/corpus.txt" --threads 2x
+expect_error "discover junk shards" 2 "invalid --shards value: 2x" -- \
+  discover --data "$TMP/corpus.txt" --shards 2x
+expect_error "discover empty delta" 2 "invalid --delta value" -- \
+  discover --data "$TMP/corpus.txt" --delta ""
+expect_error "discover threads past int" 2 \
+  "invalid --threads value: 4294967298" -- \
+  discover --data "$TMP/corpus.txt" --threads 4294967298
+expect_error "discover shards past int" 2 \
+  "invalid --shards value: 4294967297" -- \
+  discover --data "$TMP/corpus.txt" --shards 4294967297
+expect_error "discover q past long" 2 \
+  "invalid --q value: 99999999999999999999" -- \
+  discover --data "$TMP/corpus.txt" --phi eds --alpha 0.8 \
+  --q 99999999999999999999
+
 # --- EPIPE: a closed stdout is an I/O failure, not a crash ------------------
 # SIGPIPE is ignored process-wide, so writing discovery output into a pipe
 # whose reader quit surfaces as a diagnosed kIo exit — never a silent

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Cross-process parity: build + N x shard-run + merge through the actual CLI
 # binary must produce byte-identical PairMatch output to the in-process
-# ShardedEngine run (`discover --shards N`) on the same corpus, for the
+# sharded run (`discover --shards N`) on the same corpus, for the
 # similarity and containment metrics over word tokens and for edit
 # similarity over q-grams, at 2 and 4 shards — through BOTH snapshot
 # containers: monolithic and --split (per-shard files, where each shard-run
 # must map only common + its own shard, asserted via the load accounting
-# line).
+# line). Top-k search must print the same pair lines at every shard count.
 #
 # Usage: cli_parity_test.sh /path/to/silkmoth_cli
 set -euo pipefail
@@ -163,5 +163,29 @@ run_query_case "query-containment-s2" "$TMP/schema.txt" \
   "$TMP/schema_queries.txt" 2 --metric containment --delta 0.7
 run_query_case "query-edit-s3" "$TMP/dblp.txt" "$TMP/dblp_queries.txt" 3 \
   --metric similarity --phi eds --delta 0.5 --alpha 0.6
+
+# Top-k search over shards: each shard keeps its own k best and the union
+# is cut to k, so `search --top-k 3 --shards N` must print exactly the pair
+# lines of the unsharded `search --top-k 3`. The dblp corpus queried
+# against itself at a low δ gives many queries more than 3 related sets,
+# so the cut matters (checked against the full search).
+topk_search() {
+  "$CLI" search --data "$TMP/dblp.txt" --query "$TMP/dblp.txt" \
+    --metric containment --delta 0.2 "$@"
+}
+topk_search > "$TMP/all.raw"
+pairs_only "$TMP/all.raw" "$TMP/all.tsv"
+topk_search --top-k 3 > "$TMP/topk-s1.raw"
+pairs_only "$TMP/topk-s1.raw" "$TMP/topk-s1.tsv"
+[ -s "$TMP/topk-s1.tsv" ] || fail "top-k: empty unsharded output"
+[ "$(wc -l < "$TMP/topk-s1.tsv")" -lt "$(wc -l < "$TMP/all.tsv")" ] \
+  || fail "top-k: the cut to 3 never dropped a match"
+for shards in 2 3; do
+  topk_search --top-k 3 --shards "$shards" > "$TMP/topk-s$shards.raw"
+  pairs_only "$TMP/topk-s$shards.raw" "$TMP/topk-s$shards.tsv"
+  diff -u "$TMP/topk-s1.tsv" "$TMP/topk-s$shards.tsv" \
+    || fail "top-k: --shards $shards output differs from unsharded"
+  echo "ok: top-k-s$shards ($(wc -l < "$TMP/topk-s1.tsv") pairs)"
+done
 
 echo "PASS: cross-process parity"

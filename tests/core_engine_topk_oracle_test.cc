@@ -1,12 +1,16 @@
 // SearchTopK oracle parity: the floating-floor top-k pass must be
 // output-identical to scoring everything with Search and keeping the k best
 // (relatedness descending, set id ascending) — across metrics, k values
-// spanning 1 to beyond the corpus, tie-heavy corpora, and both the exact
-// and --approx-scores reporting modes. On top of parity, the whole point of
-// the floor: the top-k pass must do strictly less Hungarian work
-// (exact_solves + reporting_solves) than the oracle when the floor engages.
+// spanning 1 to beyond the corpus, tie-heavy corpora, both the exact and
+// --approx-scores reporting modes, and shard counts 1, 2, 3 and 7 (each
+// shard keeps its own k best; the union is cut to k). On top of parity,
+// the whole point of the floor: the top-k pass must do strictly less
+// Hungarian work (exact_solves + reporting_solves) than the oracle when
+// the floor engages.
 
 #include <algorithm>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -74,11 +78,13 @@ std::vector<SearchMatch> Oracle(const SilkMoth& engine, const SetRecord& ref,
   return all;
 }
 
-class TopKOracleSweep : public ::testing::TestWithParam<OracleConfig> {};
+class TopKOracleSweep
+    : public ::testing::TestWithParam<std::tuple<OracleConfig, int>> {};
 
 TEST_P(TopKOracleSweep, TopKIsOutputIdenticalToScoreEverything) {
-  const OracleConfig cfg = GetParam();
-  const Options opt = MakeOptions(cfg);
+  const OracleConfig cfg = std::get<0>(GetParam());
+  Options opt = MakeOptions(cfg);
+  opt.num_shards = std::get<1>(GetParam());
   Collection data = MakeData(cfg, 40);
   SilkMoth engine(&data, opt);
   ASSERT_TRUE(engine.ok()) << engine.error();
@@ -134,19 +140,25 @@ TEST_P(TopKOracleSweep, TopKIsOutputIdenticalToScoreEverything) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, TopKOracleSweep,
-    ::testing::Values(
-        OracleConfig{"similarity_jaccard_exact", Relatedness::kSimilarity,
-                     SimilarityKind::kJaccard, 0.4, 0.4, true},
-        OracleConfig{"similarity_jaccard_approx", Relatedness::kSimilarity,
-                     SimilarityKind::kJaccard, 0.4, 0.4, false},
-        OracleConfig{"containment_jaccard_exact", Relatedness::kContainment,
-                     SimilarityKind::kJaccard, 0.5, 0.0, true},
-        OracleConfig{"containment_jaccard_approx", Relatedness::kContainment,
-                     SimilarityKind::kJaccard, 0.5, 0.0, false},
-        OracleConfig{"similarity_eds_exact", Relatedness::kSimilarity,
-                     SimilarityKind::kEds, 0.4, 0.6, true}),
-    [](const ::testing::TestParamInfo<OracleConfig>& info) {
-      return info.param.name;
+    ::testing::Combine(
+        ::testing::Values(
+            OracleConfig{"similarity_jaccard_exact", Relatedness::kSimilarity,
+                         SimilarityKind::kJaccard, 0.4, 0.4, true},
+            OracleConfig{"similarity_jaccard_approx",
+                         Relatedness::kSimilarity, SimilarityKind::kJaccard,
+                         0.4, 0.4, false},
+            OracleConfig{"containment_jaccard_exact",
+                         Relatedness::kContainment, SimilarityKind::kJaccard,
+                         0.5, 0.0, true},
+            OracleConfig{"containment_jaccard_approx",
+                         Relatedness::kContainment, SimilarityKind::kJaccard,
+                         0.5, 0.0, false},
+            OracleConfig{"similarity_eds_exact", Relatedness::kSimilarity,
+                         SimilarityKind::kEds, 0.4, 0.6, true}),
+        ::testing::Values(1, 2, 3, 7)),
+    [](const ::testing::TestParamInfo<std::tuple<OracleConfig, int>>& info) {
+      return std::string(std::get<0>(info.param).name) + "_shards" +
+             std::to_string(std::get<1>(info.param));
     });
 
 }  // namespace

@@ -110,9 +110,10 @@ TEST(ExactScoresTest, ExactModeMatchesOracleAndApproxKeepsPairSet) {
   EXPECT_GT(approx_reports_seen, 0u);
 }
 
-// The opt-out threads through the sharded engine unchanged: per-shard
+// The opt-out threads through the shard drivers unchanged: per-shard
 // counters pick up bound_only_scores and the pair set still matches the
-// exact run's.
+// exact run's. The exact sharded run is pinned to the brute-force oracle,
+// and the approximate one to the 1-shard approximate run, pair for pair.
 TEST(ExactScoresTest, ShardedApproxKeepsPairSet) {
   Collection data = MakeData(40, 9);
   Options exact_opt;
@@ -121,15 +122,23 @@ TEST(ExactScoresTest, ShardedApproxKeepsPairSet) {
   exact_opt.num_threads = 2;
   Options approx_opt = exact_opt;
   approx_opt.exact_scores = false;
+  Options approx_single_opt = approx_opt;
+  approx_single_opt.num_shards = 1;
 
-  ShardedEngine exact_engine(&data, exact_opt);
-  ShardedEngine approx_engine(&data, approx_opt);
+  SilkMoth exact_engine(&data, exact_opt);
+  SilkMoth approx_engine(&data, approx_opt);
+  SilkMoth approx_single(&data, approx_single_opt);
   ASSERT_TRUE(exact_engine.ok());
   ASSERT_TRUE(approx_engine.ok());
+  ASSERT_TRUE(approx_single.ok());
   ShardedSearchStats approx_stats;
+  approx_stats.Reset(approx_engine.shards().size());
   const std::vector<PairMatch> exact = exact_engine.DiscoverSelf();
-  const std::vector<PairMatch> approx =
-      approx_engine.DiscoverSelf(&approx_stats);
+  const std::vector<PairMatch> approx = DiscoverAcrossShards(
+      ReferenceBlock::SelfJoin(data), data, approx_engine.shards(),
+      approx_opt, &approx_stats);
+  EXPECT_EQ(exact, BruteForce(&data, exact_opt).DiscoverSelf());
+  EXPECT_EQ(approx, approx_single.DiscoverSelf());
 
   ASSERT_EQ(approx.size(), exact.size());
   size_t understated = 0;

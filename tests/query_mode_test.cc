@@ -2,11 +2,13 @@
 // threaded through it.
 //
 //  - Self-join parity: the full-collection self-join block is byte-identical
-//    to DiscoverSelf on both engines (the refactor's safety net), and
-//    disjoint self-join sub-range blocks union to the full self-join.
+//    to DiscoverSelf at one and at three shards (the refactor's safety
+//    net), both equal the brute-force oracle, and disjoint self-join
+//    sub-range blocks union to the full self-join.
 //  - External-query oracle: snapshot round-trip + DiscoverShardAgainst per
-//    shard, concatenated, equals ShardedEngine::Discover, SilkMoth::Discover,
-//    and the brute-force oracle — across similarity/containment/edit.
+//    shard, concatenated, equals SilkMoth::Discover at one and at several
+//    shards, and the brute-force oracle — across similarity/containment/
+//    edit.
 //  - OOV edge cases: all-OOV queries, empty payloads, oov counting.
 //  - Protocol: query fields round-trip through shard-result files; merge
 //    refuses mixed self/query streams and mismatched query fingerprints.
@@ -69,10 +71,11 @@ TEST(ReferenceBlockSelfJoin, FullBlockIdenticalToDiscoverSelf) {
     ASSERT_TRUE(engine.ok()) << engine.error();
     EXPECT_EQ(engine.Discover(ReferenceBlock::SelfJoin(data)),
               engine.DiscoverSelf());
+    EXPECT_EQ(engine.DiscoverSelf(), BruteForce(&data, o).DiscoverSelf());
 
     o.num_shards = 3;
     o.num_threads = 2;
-    ShardedEngine sharded(&data, o);
+    SilkMoth sharded(&data, o);
     ASSERT_TRUE(sharded.ok()) << sharded.error();
     EXPECT_EQ(sharded.Discover(ReferenceBlock::SelfJoin(data)),
               sharded.DiscoverSelf());
@@ -88,7 +91,7 @@ TEST(ReferenceBlockSelfJoin, DisjointSubRangesUnionToFullSelfJoin) {
     o.metric = metric;
     o.delta = 0.6;
     o.num_shards = 2;
-    ShardedEngine engine(&data, o);
+    SilkMoth engine(&data, o);
     ASSERT_TRUE(engine.ok()) << engine.error();
     const std::vector<PairMatch> whole = engine.DiscoverSelf();
 
@@ -191,7 +194,7 @@ TEST_P(QueryModeSweep, SnapshotQueryMatchesOracleEverywhere) {
   Options sharded_opt = o;
   sharded_opt.num_shards = kShards;
   sharded_opt.num_threads = 2;
-  ShardedEngine sharded(&data, sharded_opt);
+  SilkMoth sharded(&data, sharded_opt);
   ASSERT_TRUE(sharded.ok()) << sharded.error();
   BruteForce oracle(&data, o);
 
@@ -392,13 +395,15 @@ TEST(QueryProtocol, SaveLoadMergeMatchesInProcessQueryRun) {
   Options sharded_opt = o;
   sharded_opt.num_shards = kShards;
   Collection data = BuildCollection(corpus_raw, TokenizerKind::kWord, 0);
-  ShardedEngine engine(&data, sharded_opt);
+  SilkMoth engine(&data, sharded_opt);
   ASSERT_TRUE(engine.ok()) << engine.error();
   Collection mem_query;
   const ReferenceBlock mem_block =
       BuildQueryBlock(query_raw, TokenizerKind::kWord, 0, data, &mem_query);
   ShardedSearchStats mem_stats;
-  EXPECT_EQ(merged, engine.Discover(mem_block, &mem_stats));
+  mem_stats.Reset(engine.shards().size());
+  EXPECT_EQ(merged, DiscoverAcrossShards(mem_block, data, engine.shards(),
+                                         engine.options(), &mem_stats));
   ASSERT_EQ(merged_stats.per_shard.size(), mem_stats.per_shard.size());
   for (size_t s = 0; s < mem_stats.per_shard.size(); ++s) {
     EXPECT_EQ(merged_stats.per_shard[s].query_sets,

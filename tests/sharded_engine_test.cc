@@ -1,12 +1,14 @@
-// ShardedEngine properties, on randomized corpora:
+// SilkMoth's shard properties, on randomized corpora:
 //
-//  1. Parity: sharded discovery (self-join and cross-collection) and search
-//     return *identical* PairMatch/SearchMatch sets — ids and scores — to
-//     the single-index engine, across metrics (similarity/containment),
-//     similarity functions (Jaccard/Eds), shard counts, and thread counts.
-//     Identity is exact (operator==), not within-tolerance: verification
-//     only ever sees the (reference, set) records, so scores cannot depend
-//     on how the index was partitioned.
+//  1. Parity: discovery (self-join and cross-collection) and search return
+//     *identical* PairMatch/SearchMatch sets — ids and scores — at every
+//     shard count, across metrics (similarity/containment), similarity
+//     functions (Jaccard/Eds), shard counts, and thread counts. Every shard
+//     count runs the same drivers, so each sweep also checks the 1-shard
+//     engine against BruteForce (core/brute_force.h), which shares no code
+//     with them. Identity is exact (operator==), not within-tolerance:
+//     verification only ever sees the (reference, set) records, so scores
+//     cannot depend on how the index was partitioned.
 //  2. Shard layout: the shard ranges are contiguous, disjoint, ascending,
 //     and cover exactly [0, num_sets) — including the shards > sets edge
 //     case, where trailing shards are empty.
@@ -19,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "core/brute_force.h"
 #include "core/engine.h"
 #include "core/sharded_engine.h"
 #include "datagen/builders.h"
@@ -62,9 +65,16 @@ Collection MakeData(const ShardedCase& cfg, size_t sets, uint64_t seed) {
   return BuildCollection(GenerateDblpSets(p), TokenizerKind::kWord);
 }
 
-class ShardedEngineSweep : public ::testing::TestWithParam<ShardedCase> {};
+/// The sweep's per-shard-count engine options.
+Options WithShards(Options opt, int shards, int threads) {
+  opt.num_shards = shards;
+  opt.num_threads = threads;
+  return opt;
+}
 
-TEST_P(ShardedEngineSweep, DiscoverSelfMatchesUnshardedExactly) {
+class ShardSweep : public ::testing::TestWithParam<ShardedCase> {};
+
+TEST_P(ShardSweep, DiscoverSelfMatchesUnshardedExactly) {
   const ShardedCase cfg = GetParam();
   const Options base = MakeOptions(cfg);
   Collection data = MakeData(cfg, 40, /*seed=*/11);
@@ -74,13 +84,11 @@ TEST_P(ShardedEngineSweep, DiscoverSelfMatchesUnshardedExactly) {
   const std::vector<PairMatch> expected = single.DiscoverSelf();
   ASSERT_FALSE(expected.empty()) << cfg.name
       << ": corpus produced no related pairs to compare";
+  EXPECT_EQ(expected, BruteForce(&data, base).DiscoverSelf()) << cfg.name;
 
   for (int shards : {1, 2, 3, 7, 16}) {
     for (int threads : {1, 3}) {
-      Options opt = base;
-      opt.num_shards = shards;
-      opt.num_threads = threads;
-      ShardedEngine engine(&data, opt);
+      const SilkMoth engine(&data, WithShards(base, shards, threads));
       ASSERT_TRUE(engine.ok()) << engine.error();
       EXPECT_EQ(engine.DiscoverSelf(), expected)
           << cfg.name << ": shards=" << shards << " threads=" << threads;
@@ -88,7 +96,7 @@ TEST_P(ShardedEngineSweep, DiscoverSelfMatchesUnshardedExactly) {
   }
 }
 
-TEST_P(ShardedEngineSweep, CrossCollectionDiscoverMatchesUnshardedExactly) {
+TEST_P(ShardSweep, CrossCollectionDiscoverMatchesUnshardedExactly) {
   const ShardedCase cfg = GetParam();
   const Options base = MakeOptions(cfg);
   Collection data = MakeData(cfg, 32, /*seed=*/21);
@@ -111,34 +119,32 @@ TEST_P(ShardedEngineSweep, CrossCollectionDiscoverMatchesUnshardedExactly) {
   SilkMoth single(&data, base);
   ASSERT_TRUE(single.ok()) << single.error();
   const std::vector<PairMatch> expected = single.Discover(refs);
+  EXPECT_EQ(expected, BruteForce(&data, base).Discover(refs)) << cfg.name;
 
   for (int shards : {2, 5}) {
-    Options opt = base;
-    opt.num_shards = shards;
-    opt.num_threads = 2;
-    ShardedEngine engine(&data, opt);
+    const SilkMoth engine(&data, WithShards(base, shards, 2));
     ASSERT_TRUE(engine.ok()) << engine.error();
     EXPECT_EQ(engine.Discover(refs), expected)
         << cfg.name << ": shards=" << shards;
   }
 }
 
-TEST_P(ShardedEngineSweep, SearchMatchesUnshardedExactly) {
+TEST_P(ShardSweep, SearchMatchesUnshardedExactly) {
   const ShardedCase cfg = GetParam();
   const Options base = MakeOptions(cfg);
   Collection data = MakeData(cfg, 30, /*seed=*/31);
 
   SilkMoth single(&data, base);
   ASSERT_TRUE(single.ok()) << single.error();
+  const BruteForce oracle(&data, base);
 
-  Options opt = base;
-  opt.num_shards = 4;
-  ShardedEngine engine(&data, opt);
+  const SilkMoth engine(&data, WithShards(base, 4, 1));
   ASSERT_TRUE(engine.ok()) << engine.error();
 
   size_t matched = 0;
   for (const SetRecord& ref : data.sets) {
     const std::vector<SearchMatch> expected = single.Search(ref);
+    EXPECT_EQ(expected, oracle.Search(ref)) << cfg.name;
     EXPECT_EQ(engine.Search(ref), expected) << cfg.name;
     matched += expected.size();
   }
@@ -146,7 +152,7 @@ TEST_P(ShardedEngineSweep, SearchMatchesUnshardedExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Workloads, ShardedEngineSweep,
+    Workloads, ShardSweep,
     ::testing::Values(
         ShardedCase{"similarity_jaccard", Relatedness::kSimilarity,
                     SimilarityKind::kJaccard, 0.6, 0.4},
@@ -160,28 +166,29 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- Shard layout edge cases -----------------------------------------------
 
-TEST(ShardedEngineLayout, RangesPartitionTheCollection) {
+TEST(ShardLayout, RangesPartitionTheCollection) {
   const ShardedCase cfg{"similarity_jaccard", Relatedness::kSimilarity,
                         SimilarityKind::kJaccard, 0.6, 0.0};
   Collection data = MakeData(cfg, 23, /*seed=*/41);
   for (int shards : {1, 2, 5, 23, 64}) {
-    Options opt = MakeOptions(cfg);
-    opt.num_shards = shards;
-    ShardedEngine engine(&data, opt);
+    const SilkMoth engine(&data, WithShards(MakeOptions(cfg), shards, 1));
     ASSERT_TRUE(engine.ok()) << engine.error();
-    ASSERT_EQ(engine.num_shards(), static_cast<size_t>(shards));
+    ASSERT_EQ(engine.shards().size(), static_cast<size_t>(shards));
+    // index() is shard 0's index.
+    EXPECT_EQ(&engine.index(), engine.shards()[0].index);
 
     uint32_t cursor = 0;
     size_t postings = 0;
-    for (size_t s = 0; s < engine.num_shards(); ++s) {
-      const SetIdRange range = engine.shard_range(s);
-      EXPECT_EQ(range.begin, cursor) << "shards=" << shards << " s=" << s;
-      EXPECT_LE(range.begin, range.end);
-      cursor = range.end;
-      postings += engine.shard_index(s).TotalPostings();
+    for (size_t s = 0; s < engine.shards().size(); ++s) {
+      const ShardView& shard = engine.shards()[s];
+      EXPECT_EQ(shard.range.begin, cursor)
+          << "shards=" << shards << " s=" << s;
+      EXPECT_LE(shard.range.begin, shard.range.end);
+      cursor = shard.range.end;
+      postings += shard.index->TotalPostings();
       // An empty shard must carry an empty index.
-      if (range.begin == range.end) {
-        EXPECT_EQ(engine.shard_index(s).TotalPostings(), 0u);
+      if (shard.range.begin == shard.range.end) {
+        EXPECT_EQ(shard.index->TotalPostings(), 0u);
       }
     }
     EXPECT_EQ(cursor, data.sets.size()) << "shards=" << shards;
@@ -193,7 +200,7 @@ TEST(ShardedEngineLayout, RangesPartitionTheCollection) {
   }
 }
 
-TEST(ShardedEngineLayout, MoreShardsThanSetsStillExact) {
+TEST(ShardLayout, MoreShardsThanSetsStillExact) {
   const ShardedCase cfg{"similarity_jaccard", Relatedness::kSimilarity,
                         SimilarityKind::kJaccard, 0.6, 0.0};
   Collection data = MakeData(cfg, 10, /*seed=*/43);
@@ -201,52 +208,52 @@ TEST(ShardedEngineLayout, MoreShardsThanSetsStillExact) {
   SilkMoth single(&data, MakeOptions(cfg));
   ASSERT_TRUE(single.ok());
 
-  Options opt = MakeOptions(cfg);
-  opt.num_shards = 64;
-  opt.num_threads = 2;
-  ShardedEngine engine(&data, opt);
+  const SilkMoth engine(&data, WithShards(MakeOptions(cfg), 64, 2));
   ASSERT_TRUE(engine.ok()) << engine.error();
   EXPECT_EQ(engine.DiscoverSelf(), single.DiscoverSelf());
+  EXPECT_EQ(engine.DiscoverSelf(),
+            BruteForce(&data, MakeOptions(cfg)).DiscoverSelf());
 }
 
-TEST(ShardedEngineLayout, EmptyCollection) {
+TEST(ShardLayout, EmptyCollection) {
   Collection data;
   Options opt;
   opt.num_shards = 4;
-  ShardedEngine engine(&data, opt);
+  const SilkMoth engine(&data, opt);
   ASSERT_TRUE(engine.ok()) << engine.error();
   EXPECT_TRUE(engine.DiscoverSelf().empty());
-  for (size_t s = 0; s < engine.num_shards(); ++s) {
-    const SetIdRange range = engine.shard_range(s);
-    EXPECT_EQ(range.begin, range.end);
+  ASSERT_EQ(engine.shards().size(), 4u);
+  for (const ShardView& shard : engine.shards()) {
+    EXPECT_EQ(shard.range.begin, shard.range.end);
   }
 }
 
-TEST(ShardedEngineLayout, InvalidShardCountRejected) {
+TEST(ShardLayout, InvalidShardCountRejected) {
   Collection data;
   Options opt;
   opt.num_shards = 0;
-  ShardedEngine engine(&data, opt);
+  const SilkMoth engine(&data, opt);
   EXPECT_FALSE(engine.ok());
   EXPECT_NE(engine.error().find("num_shards"), std::string::npos);
   EXPECT_TRUE(engine.DiscoverSelf().empty());
+  EXPECT_TRUE(engine.shards().empty());
+  EXPECT_EQ(engine.index().TotalPostings(), 0u);
 }
 
 // --- Per-shard stats aggregation -------------------------------------------
 
-TEST(ShardedEngineStats, PerShardCountersAggregateToGlobal) {
+TEST(ShardStats, PerShardCountersAggregateToGlobal) {
   const ShardedCase cfg{"similarity_jaccard", Relatedness::kSimilarity,
                         SimilarityKind::kJaccard, 0.6, 0.4};
   Collection data = MakeData(cfg, 30, /*seed=*/51);
 
-  Options opt = MakeOptions(cfg);
-  opt.num_shards = 4;
-  opt.num_threads = 3;
-  ShardedEngine engine(&data, opt);
+  const SilkMoth engine(&data, WithShards(MakeOptions(cfg), 4, 3));
   ASSERT_TRUE(engine.ok()) << engine.error();
 
   ShardedSearchStats stats;
-  engine.DiscoverSelf(&stats);
+  stats.Reset(engine.shards().size());
+  DiscoverAcrossShards(ReferenceBlock::SelfJoin(data), data, engine.shards(),
+                       engine.options(), &stats);
   ASSERT_EQ(stats.per_shard.size(), 4u);
 
   // Every non-empty shard sees every (non-empty) reference exactly once.
@@ -255,7 +262,7 @@ TEST(ShardedEngineStats, PerShardCountersAggregateToGlobal) {
     if (!ref.Empty()) ++non_empty_refs;
   }
   for (size_t s = 0; s < stats.per_shard.size(); ++s) {
-    const SetIdRange range = engine.shard_range(s);
+    const SetIdRange range = engine.shards()[s].range;
     if (range.begin == range.end) {
       EXPECT_EQ(stats.per_shard[s].references, 0u) << "empty shard " << s;
     } else {
@@ -273,6 +280,13 @@ TEST(ShardedEngineStats, PerShardCountersAggregateToGlobal) {
   EXPECT_EQ(total.results, manual.results);
   EXPECT_EQ(total.initial_candidates, manual.initial_candidates);
 
+  // The engine's own SearchStats overload reports exactly that sum.
+  SearchStats folded;
+  engine.DiscoverSelf(&folded);
+  EXPECT_EQ(folded.references, total.references);
+  EXPECT_EQ(folded.verifications, total.verifications);
+  EXPECT_EQ(folded.results, total.results);
+
   // Shards never overlap, so result counts (pre-dedup search-pass results)
   // sum to exactly what the single-index engine's passes report.
   SilkMoth single(&data, MakeOptions(cfg));
@@ -286,7 +300,7 @@ TEST(ShardedEngineStats, PerShardCountersAggregateToGlobal) {
   EXPECT_NE(dump.find("per shard"), std::string::npos);
 }
 
-TEST(ShardedEngineStats, MergeIsSlotWise) {
+TEST(ShardStats, MergeIsSlotWise) {
   ShardedSearchStats a, b;
   a.Reset(2);
   b.Reset(2);

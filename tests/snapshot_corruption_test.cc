@@ -445,7 +445,7 @@ TEST(SnapshotViewLifetime, QueriesSurviveSnapshotMove) {
   Options opt;
   opt.delta = 0.3;
   opt.num_shards = 2;
-  ShardedEngine engine(&data, opt);
+  SilkMoth engine(&data, opt);
   ASSERT_TRUE(engine.ok());
   const std::vector<PairMatch> expected = engine.DiscoverSelf();
 

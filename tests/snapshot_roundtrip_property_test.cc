@@ -3,11 +3,11 @@
 //
 //  1. Save→Load reproduces the token dictionary, the tokenized collection,
 //     and every shard's CSR arrays (offsets_ / postings_) exactly — and the
-//     snapshot builder's shards are identical to ShardedEngine's shards for
-//     the same shard count (same ComputeShardRanges partition, same CSR).
+//     snapshot builder's shards are identical to SilkMoth's shards for the
+//     same shard count (same ComputeShardRanges partition, same CSR).
 //  2. Discovery driven from a snapshot-loaded state (DiscoverShardSelf per
 //     shard + MergeShardResults) is byte-identical — ids and exact scores —
-//     to a fresh in-memory ShardedEngine::DiscoverSelf, with matching
+//     to a fresh in-memory SilkMoth::DiscoverSelf, with matching
 //     per-shard funnel counters.
 //  3. The shard-result file format round-trips pairs (exact doubles) and
 //     funnel counters.
@@ -132,12 +132,14 @@ TEST(SnapshotRoundtrip, SaveLoadAndDiscoveryParity) {
                                      : TokenizerKind::kWord;
         const int q = tk == TokenizerKind::kQGram ? opt.EffectiveQ() : 0;
 
-        // Reference: the fresh in-memory sharded engine.
-        ShardedEngine engine(&data, opt);
+        // Reference: a fresh in-memory engine with the same shard count.
+        SilkMoth engine(&data, opt);
         ASSERT_TRUE(engine.ok()) << engine.error();
         ShardedSearchStats mem_stats;
+        mem_stats.Reset(engine.shards().size());
         const std::vector<PairMatch> expected =
-            engine.DiscoverSelf(&mem_stats);
+            DiscoverAcrossShards(ReferenceBlock::SelfJoin(data), data,
+                                 engine.shards(), opt, &mem_stats);
 
         // Snapshot build → save → load.
         Snapshot built = BuildSnapshot(data, tk, q,
@@ -145,10 +147,10 @@ TEST(SnapshotRoundtrip, SaveLoadAndDiscoveryParity) {
                                        opt.num_threads);
         ASSERT_EQ(built.num_shards(), static_cast<size_t>(shards));
         for (int s = 0; s < shards; ++s) {
-          EXPECT_EQ(built.shards[s].range.begin,
-                    engine.shard_range(s).begin);
-          EXPECT_EQ(built.shards[s].range.end, engine.shard_range(s).end);
-          ExpectSameIndex(built.shards[s].index, engine.shard_index(s),
+          const ShardView& mem = engine.shards()[s];
+          EXPECT_EQ(built.shards[s].range.begin, mem.range.begin);
+          EXPECT_EQ(built.shards[s].range.end, mem.range.end);
+          ExpectSameIndex(built.shards[s].index, *mem.index,
                           "built shard " + std::to_string(s));
         }
 
@@ -175,10 +177,10 @@ TEST(SnapshotRoundtrip, SaveLoadAndDiscoveryParity) {
         }
         ASSERT_EQ(loaded.num_shards(), static_cast<size_t>(shards));
         for (int s = 0; s < shards; ++s) {
-          EXPECT_EQ(loaded.shards[s].range.begin,
-                    engine.shard_range(s).begin);
-          EXPECT_EQ(loaded.shards[s].range.end, engine.shard_range(s).end);
-          ExpectSameIndex(loaded.shards[s].index, engine.shard_index(s),
+          const ShardView& mem = engine.shards()[s];
+          EXPECT_EQ(loaded.shards[s].range.begin, mem.range.begin);
+          EXPECT_EQ(loaded.shards[s].range.end, mem.range.end);
+          ExpectSameIndex(loaded.shards[s].index, *mem.index,
                           "loaded shard " + std::to_string(s));
         }
 
@@ -254,7 +256,7 @@ TEST(SnapshotRoundtrip, SplitFilesParityAndByteAccounting) {
   const int kShards = 4;
   const Options opt = MakeOptions(cfg, kShards);
 
-  ShardedEngine engine(&data, opt);
+  SilkMoth engine(&data, opt);
   ASSERT_TRUE(engine.ok()) << engine.error();
   const std::vector<PairMatch> expected = engine.DiscoverSelf();
 

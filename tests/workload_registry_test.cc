@@ -113,6 +113,26 @@ TEST(WorkloadRegistryTest, RunWorkloadDeterministicAcrossWorkerCounts) {
   }
 }
 
+TEST(WorkloadRegistryTest, TopKLaneAnswersAlikeAtEveryShardCount) {
+  // The top-k lane runs at any shard count: each shard keeps its own k best
+  // and the union is cut to k, so a round reports the same pairs. The
+  // funnel grows one slot per shard, each stamped with the query sets.
+  const WorkloadSpec* registered = FindWorkload("columns-cont-topk");
+  ASSERT_NE(registered, nullptr);
+  WorkloadSpec one = Shrunken(*registered);
+  WorkloadSpec three = one;
+  three.options.num_shards = 3;
+  BenchResult r1, r3;
+  ASSERT_EQ(RunWorkload(one, &r1), "");
+  ASSERT_EQ(RunWorkload(three, &r3), "");
+  EXPECT_GT(r1.pairs_per_round, 0u);
+  EXPECT_EQ(r3.pairs_per_round, r1.pairs_per_round);
+  ASSERT_EQ(r3.funnel.per_shard.size(), 3u);
+  for (const SearchStats& s : r3.funnel.per_shard) {
+    EXPECT_EQ(s.query_sets, r1.funnel.per_shard[0].query_sets);
+  }
+}
+
 TEST(WorkloadRegistryTest, BenchJsonStripTimingIsReproducible) {
   // Two same-spec runs: the emitted JSON must be byte-identical outside the
   // "timing" object. Compared structurally by splicing the timing section

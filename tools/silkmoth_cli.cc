@@ -81,7 +81,7 @@
 //   --q <int>                         (edit similarity; default from alpha)
 //   --scheme weighted|unweighted|skyline|dichotomy   (default dichotomy)
 //   --threads <n>                     (default 1)
-//   --shards <n>                      (default 1; >= 2 uses ShardedEngine)
+//   --shards <n>                      (default 1: one index over the corpus)
 //   --stats                           (print phase statistics; per-shard
 //                                      breakdown when sharded)
 //   --split                           (build: per-shard snapshot files)
@@ -100,7 +100,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <memory>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -163,8 +163,7 @@ int Usage(const char* argv0) {
       "weighted|unweighted|skyline|dichotomy\n"
       "         --threads N --shards N --stats --oracle-check\n"
       "         --split --copy-load --approx-scores\n"
-      "search:  --top-k K (K best matches per query, best-first; "
-      "single-index)\n"
+      "search:  --top-k K (K best matches per query, best-first)\n"
       "run:     --jobs N --retries N --shard-deadline S --allow-partial\n"
       "         --report FILE --workdir DIR --keep-workdir\n"
       "         --backoff-base S --backoff-cap S --backoff-seed N\n"
@@ -217,7 +216,7 @@ struct CliArgs {
   double bench_duration = -1.0;
   long bench_seed = -1;
   // `search` subcommand: 0 means "all matches"; > 0 serves the K best per
-  // query through the single-index SearchTopK pass.
+  // query through the top-k pass.
   long top_k = 0;
   // `serve` subcommand: transport selection + admission/deadline policy
   // (docs/CLI.md, "serve"). --workers reuses bench_workers above.
@@ -259,6 +258,20 @@ bool ParseDouble(const char* flag, const char* v, double* out) {
     std::fprintf(stderr, "invalid %s value: %s\n", flag, v);
     return false;
   }
+  return true;
+}
+
+/// ParseLong narrowed to int; false (and a stderr line) on junk or on a
+/// value int cannot hold.
+bool ParseInt(const char* flag, const char* v, int* out) {
+  long value = 0;
+  if (!ParseLong(flag, v, &value)) return false;
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    std::fprintf(stderr, "invalid %s value: %s (out of range)\n", flag, v);
+    return false;
+  }
+  *out = static_cast<int>(value);
   return true;
 }
 
@@ -369,16 +382,17 @@ bool ParseArgs(int argc, char** argv, int start, CliArgs* args) {
       }
     } else if (arg == "--delta") {
       const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.delta = std::atof(v);
+      if (v == nullptr || !ParseDouble("--delta", v, &args->opt.delta)) {
+        return false;
+      }
     } else if (arg == "--alpha") {
       const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.alpha = std::atof(v);
+      if (v == nullptr || !ParseDouble("--alpha", v, &args->opt.alpha)) {
+        return false;
+      }
     } else if (arg == "--q") {
       const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.q = std::atoi(v);
+      if (v == nullptr || !ParseInt("--q", v, &args->opt.q)) return false;
     } else if (arg == "--scheme") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -395,12 +409,15 @@ bool ParseArgs(int argc, char** argv, int start, CliArgs* args) {
       }
     } else if (arg == "--threads") {
       const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.num_threads = std::atoi(v);
+      if (v == nullptr ||
+          !ParseInt("--threads", v, &args->opt.num_threads)) {
+        return false;
+      }
     } else if (arg == "--shards") {
       const char* v = next();
-      if (v == nullptr) return false;
-      args->opt.num_shards = std::atoi(v);
+      if (v == nullptr || !ParseInt("--shards", v, &args->opt.num_shards)) {
+        return false;
+      }
       args->shards_set = true;
     } else if (arg == "--workload") {
       const char* v = next();
@@ -1705,42 +1722,27 @@ int RunMain(int argc, char** argv) {
     std::fprintf(stderr, "--top-k only applies to search\n");
     return ExitCode(CliExit::kUsage);
   }
-  if (args.top_k > 0 && args.opt.num_shards >= 2) {
-    std::fprintf(stderr, "--top-k serving is single-index; drop --shards\n");
-    return ExitCode(CliExit::kUsage);
-  }
 
   Collection data;
   TokenizerKind tk;
   if (!LoadData(args, &data, &tk)) return ExitCode(CliExit::kIo);
 
-  // --shards >= 2 routes everything through the sharded engine; otherwise
-  // the classic single-index engine runs. Only the chosen engine builds its
-  // index.
-  const bool use_shards = args.opt.num_shards >= 2;
-  std::unique_ptr<SilkMoth> single;
-  std::unique_ptr<ShardedEngine> sharded;
-  if (use_shards) {
-    sharded = std::make_unique<ShardedEngine>(&data, args.opt);
-  } else {
-    single = std::make_unique<SilkMoth>(&data, args.opt);
-  }
-  const std::string engine_err =
-      use_shards ? sharded->error() : single->error();
-  if (!engine_err.empty()) {
-    std::fprintf(stderr, "invalid options: %s\n", engine_err.c_str());
-    return ExitCode(CliExit::kUsage);
-  }
-  if (use_shards) {
-    std::printf("# sharded engine: %zu shards\n", sharded->num_shards());
+  // One engine whatever the shard count (the options were validated above);
+  // every query goes through the shard drivers with a per-shard funnel,
+  // which --stats prints per shard only when --shards asked for more than
+  // one.
+  const SilkMoth engine(&data, args.opt);
+  const bool sharded = args.opt.num_shards >= 2;
+  if (sharded) {
+    std::printf("# sharded engine: %zu shards\n", engine.shards().size());
   }
 
   WallTimer timer;
-  SearchStats stats;
-  ShardedSearchStats sharded_stats;
+  ShardedSearchStats stats;
+  stats.Reset(engine.shards().size());
   if (mode == "discover") {
-    auto pairs = use_shards ? sharded->DiscoverSelf(&sharded_stats)
-                            : single->DiscoverSelf(&stats);
+    auto pairs = DiscoverAcrossShards(ReferenceBlock::SelfJoin(data), data,
+                                      engine.shards(), args.opt, &stats);
     std::printf("# %zu related pairs in %.3fs\n", pairs.size(),
                 timer.ElapsedSeconds());
     for (const auto& p : pairs) {
@@ -1761,12 +1763,9 @@ int RunMain(int argc, char** argv) {
     for (size_t qi = 0; qi < query_raw.size(); ++qi) {
       SetRecord ref =
           BuildReference(query_raw[qi], tk, args.opt.EffectiveQ(), &data);
-      auto matches =
-          args.top_k > 0
-              ? single->SearchTopK(ref, static_cast<size_t>(args.top_k),
-                                   &stats)
-              : use_shards ? sharded->Search(ref, &sharded_stats)
-                           : single->Search(ref, &stats);
+      auto matches = SearchAcrossShards(ref, data, engine.shards(), args.opt,
+                                        &stats,
+                                        static_cast<size_t>(args.top_k));
       for (const auto& m : matches) {
         std::printf("%zu\t%u\t%.6f\t%.6f\n", qi, m.set_id, m.matching_score,
                     m.relatedness);
@@ -1776,8 +1775,8 @@ int RunMain(int argc, char** argv) {
                 timer.ElapsedSeconds());
   }
   if (args.stats) {
-    std::fputs(use_shards ? sharded_stats.ToString().c_str()
-                          : stats.ToString().c_str(),
+    std::fputs(sharded ? stats.ToString().c_str()
+                       : stats.Total().ToString().c_str(),
                stdout);
   }
   return ExitCode(CliExit::kOk);
