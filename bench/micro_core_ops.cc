@@ -130,10 +130,18 @@ void BM_VerifyDecisionExact(benchmark::State& state) {
 }
 BENCHMARK(BM_VerifyDecisionExact)->Arg(30)->Arg(100);
 
+// Arguments: minimum set size n, need_exact_score, and the options —
+// 0 for DecisionOptions over n..n+10-element sets; 1 for the
+// search-columns-topk shape (containment, δ 0.05) over n..n+16-element sets.
+// Both run at α 0 with the reduction on. At 14-30 elements the search shape
+// rejects nearly every pair on its bound, as that workload's top-k searches
+// do; at 100 elements most pairs are accepted and solved.
 void BM_VerifyDecisionBounded(benchmark::State& state) {
-  Collection data = ColumnData(12, static_cast<size_t>(state.range(0)),
-                               static_cast<size_t>(state.range(0)) + 10);
-  const Options opt = DecisionOptions();
+  const size_t n = static_cast<size_t>(state.range(0));
+  const bool topk_shape = state.range(2) != 0;
+  Collection data = ColumnData(12, n, n + (topk_shape ? 16 : 10));
+  Options opt = DecisionOptions();
+  if (topk_shape) opt.delta = 0.05;
   // need_exact_score mirrors RunSearchPass, which also solves on the
   // already-built matrix to report accepted pairs' exact scores.
   const bool need_exact_score = state.range(1) != 0;
@@ -150,16 +158,21 @@ void BM_VerifyDecisionBounded(benchmark::State& state) {
           a, b, theta, &stats, margin, need_exact_score));
     }
   }
+  // items_per_second is decisions per second.
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(data.sets.size() - 1));
   // How often the bounds settled the decision, visible in CI logs.
   state.counters["bound_accepts"] = static_cast<double>(stats.bound_accepts);
   state.counters["bound_rejects"] = static_cast<double>(stats.bound_rejects);
   state.counters["exact_solves"] = static_cast<double>(stats.exact_solves);
 }
 BENCHMARK(BM_VerifyDecisionBounded)
-    ->Args({30, 0})
-    ->Args({100, 0})
-    ->Args({30, 1})   // Decision + exact score on accepts (search-pass mode).
-    ->Args({100, 1});
+    ->Args({30, 0, 0})
+    ->Args({100, 0, 0})
+    ->Args({30, 1, 0})   // Decision + exact score on accepts (search-pass mode).
+    ->Args({100, 1, 0})
+    ->Args({14, 1, 1})   // search-columns-topk: 14-30-element column sets.
+    ->Args({100, 1, 1});
 
 // --- Candidate selection on the reusable query scratch ---------------------
 

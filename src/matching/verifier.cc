@@ -1,6 +1,7 @@
 #include "matching/verifier.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -43,6 +44,147 @@ WeightMatrix FillDense(const ElementSimilarity& sim, double alpha,
   return w;
 }
 
+// One φ value ScoreDecision computed, at its (reduced) matrix position.
+struct Cell {
+  uint32_t row;
+  uint32_t col;
+  double value;
+};
+
+// The buffers of one Score() or ScoreDecision() call. Each thread keeps one,
+// so once they have grown to the pair sizes it sees, a call that ends in a
+// bound or floor reject allocates nothing. They live here rather than in
+// QueryScratch because they are per pair, not per query, and because
+// callers such as the traced stage replay call ScoreDecision without one.
+struct VerifyScratch {
+  std::vector<uint64_t> r_mask;    // Token mask of each R element.
+  std::vector<uint64_t> s_mask;    // Token mask of each S element.
+  std::vector<uint64_t> col_sets;  // Bit b's S elements: words [b·words, …).
+  std::vector<uint64_t> live;      // S elements the peel left, one bit each.
+  std::vector<uint32_t> r_keep;    // R elements the peel left, in order.
+  std::vector<uint32_t> s_col;     // Matrix column of each live S element.
+  std::vector<double> row_max;
+  std::vector<double> col_max;
+  std::vector<Cell> cells;         // Every φ value computed, row by row.
+  size_t words = 0;                // ⌈|S| / 64⌉.
+
+  bool IsLive(size_t j) const { return (live[j / 64] >> (j % 64)) & 1; }
+
+  // Releases every buffer once a call has grown them past what a pair of
+  // kKeptElements-element sets with kKeptCells computed cells needs, so one
+  // huge pair does not pin its memory for the thread's lifetime.
+  void Trim() {
+    constexpr size_t kKeptElements = 4096;
+    constexpr size_t kKeptCells = size_t{1} << 15;
+    if (r_mask.capacity() > kKeptElements ||
+        s_mask.capacity() > kKeptElements || cells.capacity() > kKeptCells) {
+      *this = VerifyScratch();
+    }
+  }
+};
+
+// Lends the calling thread's scratch to one call and trims it on return.
+class ScratchLease {
+ public:
+  ScratchLease() = default;
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+  ~ScratchLease() { scratch_.Trim(); }
+
+  VerifyScratch& scratch() { return scratch_; }
+
+ private:
+  static VerifyScratch& ThreadScratch() {
+    thread_local VerifyScratch scratch;
+    return scratch;
+  }
+
+  VerifyScratch& scratch_ = ThreadScratch();
+};
+
+// Masks every element of R and S, indexes S by mask bit and applies the
+// §5.3 reduction, leaving the survivors in `sc`: `r_keep`, `live` and
+// `s_col`. Returns the number of identical pairs peeled.
+//
+// `sparse` is set when φ is 0 on token-disjoint elements: each element's
+// mask then sets bit `id mod 64` of every token id, and `col_sets` holds,
+// per bit, the S elements whose masks carry it. Otherwise every mask is all
+// ones and `col_sets` is not built.
+size_t SelectElements(const SetRecord& r, const SetRecord& s,
+                      SimilarityKind kind, bool sparse, bool reduce,
+                      VerifyScratch* sc) {
+  const size_t nr = r.elements.size();
+  const size_t ns = s.elements.size();
+  const auto mask = [sparse](const Element& e) {
+    return sparse ? TokenMask(e) : ~uint64_t{0};
+  };
+  sc->r_mask.resize(nr);
+  for (size_t i = 0; i < nr; ++i) sc->r_mask[i] = mask(r.elements[i]);
+  sc->s_mask.resize(ns);
+  for (size_t j = 0; j < ns; ++j) sc->s_mask[j] = mask(s.elements[j]);
+
+  const size_t words = (ns + 63) / 64;
+  sc->words = words;
+  sc->live.assign(words, ~uint64_t{0});
+  if (ns % 64 != 0) sc->live.back() = (uint64_t{1} << (ns % 64)) - 1;
+  if (sparse) {
+    sc->col_sets.assign(64 * words, 0);
+    for (size_t j = 0; j < ns; ++j) {
+      for (uint64_t m = sc->s_mask[j]; m != 0; m &= m - 1) {
+        sc->col_sets[std::countr_zero(m) * words + j / 64] |= uint64_t{1}
+                                                              << (j % 64);
+      }
+    }
+  }
+
+  // Pair identical elements greedily: each identical pair (φ = 1) is in
+  // some maximum matching when 1-φ obeys the triangle inequality, and the
+  // argument applies inductively to the reduced instance. Each R element,
+  // in order, takes the first still-live identical S element, so for every
+  // identity the first min(count in R, count in S) elements of each side
+  // are peeled and the survivors keep their order. Identical elements have
+  // equal masks, so a partner of an element with mask m lies in the AND of
+  // m's bit sets (the live set when m is 0 or φ is not sparse); candidates
+  // whose mask differs are passed over before IdenticalElements, which
+  // compares sizes before contents.
+  const auto peel = [&](size_t i) {
+    const uint64_t m = sc->r_mask[i];
+    for (size_t word = 0; word < words; ++word) {
+      uint64_t cand = sc->live[word];
+      if (sparse) {
+        for (uint64_t b = m; b != 0 && cand != 0; b &= b - 1) {
+          cand &= sc->col_sets[std::countr_zero(b) * words + word];
+        }
+      }
+      for (; cand != 0; cand &= cand - 1) {
+        const size_t j = word * 64 + std::countr_zero(cand);
+        if (sc->s_mask[j] == m &&
+            IdenticalElements(r.elements[i], s.elements[j], kind)) {
+          sc->live[word] &= ~(uint64_t{1} << (j % 64));
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  sc->r_keep.clear();
+  size_t reduced = 0;
+  for (size_t i = 0; i < nr; ++i) {
+    if (reduce && peel(i)) {
+      ++reduced;
+    } else {
+      sc->r_keep.push_back(static_cast<uint32_t>(i));
+    }
+  }
+
+  sc->s_col.resize(ns);
+  uint32_t col = 0;
+  for (size_t j = 0; j < ns; ++j) {
+    if (sc->IsLive(j)) sc->s_col[j] = col++;
+  }
+  return reduced;
+}
+
 }  // namespace
 
 MaxMatchingVerifier::MaxMatchingVerifier(const ElementSimilarity* sim,
@@ -52,45 +194,6 @@ MaxMatchingVerifier::MaxMatchingVerifier(const ElementSimilarity* sim,
       reduction_active_(use_reduction && alpha <= kFloatSlack &&
                         sim->HasMetricDual()),
       skip_disjoint_(sim->ZeroWhenTokensDisjoint()) {}
-
-size_t MaxMatchingVerifier::SelectElements(
-    const SetRecord& r, const SetRecord& s,
-    std::vector<const Element*>* r_elems,
-    std::vector<const Element*>* s_elems) const {
-  r_elems->clear();
-  s_elems->clear();
-  r_elems->reserve(r.elements.size());
-  s_elems->reserve(s.elements.size());
-  AppendAll(s, s_elems);
-  if (!reduction_active_) {
-    AppendAll(r, r_elems);
-    return 0;
-  }
-
-  // Pair identical elements greedily: each identical pair (φ = 1) is in
-  // some maximum matching when 1-φ obeys the triangle inequality, and the
-  // argument applies inductively to the reduced instance. Each R element,
-  // in order, takes the first still-free identical S element (its slot is
-  // nulled), so for every identity the first min(count in R, count in S)
-  // elements of each side are peeled and the survivors keep their order.
-  const SimilarityKind kind = sim_->kind();
-  size_t reduced = 0;
-  for (const Element& e : r.elements) {
-    auto it = std::find_if(s_elems->begin(), s_elems->end(),
-                           [&](const Element* x) {
-                             return x != nullptr &&
-                                    IdenticalElements(e, *x, kind);
-                           });
-    if (it == s_elems->end()) {
-      r_elems->push_back(&e);
-    } else {
-      *it = nullptr;
-      ++reduced;
-    }
-  }
-  std::erase(*s_elems, nullptr);
-  return reduced;
-}
 
 double MaxMatchingVerifier::ScoreWithAlignment(
     const SetRecord& r, const SetRecord& s,
@@ -118,11 +221,18 @@ double MaxMatchingVerifier::ScoreWithAlignment(
 
 double MaxMatchingVerifier::Score(const SetRecord& r, const SetRecord& s,
                                   MatchingStats* stats) const {
-  std::vector<const Element*> r_elems;
-  std::vector<const Element*> s_elems;
-  const size_t reduced = SelectElements(r, s, &r_elems, &s_elems);
+  ScratchLease lease;
+  VerifyScratch& sc = lease.scratch();
+  const size_t reduced = SelectElements(r, s, sim_->kind(), skip_disjoint_,
+                                        reduction_active_, &sc);
   if (stats != nullptr) stats->reduced_pairs = reduced;
   const double base = static_cast<double>(reduced);
+  std::vector<const Element*> r_elems;
+  std::vector<const Element*> s_elems;
+  for (uint32_t i : sc.r_keep) r_elems.push_back(&r.elements[i]);
+  for (size_t j = 0; j < s.elements.size(); ++j) {
+    if (sc.IsLive(j)) s_elems.push_back(&s.elements[j]);
+  }
   if (r_elems.empty() || s_elems.empty()) return base;
   return base + MaxWeightMatchingScore(
                     FillDense(*sim_, alpha_, r_elems, s_elems, stats));
@@ -140,14 +250,17 @@ VerifyDecision MaxMatchingVerifier::ScoreDecision(const SetRecord& r,
   // kFloatSlack`): clamping keeps every bound-settled decision consistent
   // with the exact decision regardless of the caller's margin.
   margin = std::max(margin, kFloatSlack);
-  std::vector<const Element*> r_elems;
-  std::vector<const Element*> s_elems;
-  const size_t reduced = SelectElements(r, s, &r_elems, &s_elems);
+  ScratchLease lease;
+  VerifyScratch& sc = lease.scratch();
+  const size_t reduced = SelectElements(r, s, sim_->kind(), skip_disjoint_,
+                                        reduction_active_, &sc);
   if (stats != nullptr) stats->reduced_pairs = reduced;
   const double base = static_cast<double>(reduced);
+  const size_t rows = sc.r_keep.size();
+  const size_t cols = s.elements.size() - reduced;
 
   VerifyDecision d;
-  if (r_elems.empty() || s_elems.empty()) {
+  if (rows == 0 || cols == 0) {
     d.lower = d.upper = d.score = base;
     d.exact = true;
     d.related = d.score >= theta - kFloatSlack;
@@ -158,36 +271,42 @@ VerifyDecision MaxMatchingVerifier::ScoreDecision(const SetRecord& r,
     return d;
   }
 
-  const size_t rows = r_elems.size();
-  const size_t cols = s_elems.size();
-  WeightMatrix w(rows, cols);
-  std::vector<double> row_max(rows, 0.0);
-  std::vector<double> col_max(cols, 0.0);
-  // When φ is 0 on token-disjoint elements, a cell whose token masks share
-  // no bit keeps the matrix's 0.0 (exactly what φ would return) and skips
-  // the call; the maxima start at 0.0 too, so they are unchanged. Otherwise
-  // every mask is all-ones and every cell is filled.
-  const auto mask = [this](const Element& e) {
-    return skip_disjoint_ ? TokenMask(e) : ~uint64_t{0};
-  };
-  std::vector<uint64_t> s_mask(cols);
-  for (size_t j = 0; j < cols; ++j) s_mask[j] = mask(*s_elems[j]);
-  size_t calls = 0;
-  for (size_t i = 0; i < rows; ++i) {
-    const uint64_t r_mask = mask(*r_elems[i]);
-    for (size_t j = 0; j < cols; ++j) {
-      if ((r_mask & s_mask[j]) == 0) continue;
-      const double v = sim_->ScoreThresholded(*r_elems[i], *s_elems[j], alpha_);
-      ++calls;
-      w.At(i, j) = v;
-      row_max[i] = std::max(row_max[i], v);
-      col_max[j] = std::max(col_max[j], v);
+  // φ runs only on the cells whose masks share a bit: a row's columns are
+  // the live elements of the OR of its bits' column sets, or every live
+  // column when φ is not sparse. When φ is 0 on token-disjoint elements the
+  // skipped cells are exactly 0.0, so the maxima below, and the matrix built
+  // from the computed cells, are bit-identical to a dense fill.
+  std::vector<double>& row_max = sc.row_max;
+  std::vector<double>& col_max = sc.col_max;
+  row_max.assign(rows, 0.0);
+  col_max.assign(cols, 0.0);
+  sc.cells.clear();
+  for (size_t row = 0; row < rows; ++row) {
+    const Element& e = r.elements[sc.r_keep[row]];
+    const uint64_t m = sc.r_mask[sc.r_keep[row]];
+    for (size_t word = 0; word < sc.words; ++word) {
+      uint64_t hits = sc.live[word];
+      if (skip_disjoint_) {
+        uint64_t shared = 0;
+        for (uint64_t b = m; b != 0; b &= b - 1) {
+          shared |= sc.col_sets[std::countr_zero(b) * sc.words + word];
+        }
+        hits &= shared;
+      }
+      for (; hits != 0; hits &= hits - 1) {
+        const size_t j = word * 64 + std::countr_zero(hits);
+        const uint32_t col = sc.s_col[j];
+        const double v = sim_->ScoreThresholded(e, s.elements[j], alpha_);
+        sc.cells.push_back(Cell{static_cast<uint32_t>(row), col, v});
+        row_max[row] = std::max(row_max[row], v);
+        col_max[col] = std::max(col_max[col], v);
+      }
     }
   }
   if (stats != nullptr) {
     stats->matrix_rows = rows;
     stats->matrix_cols = cols;
-    stats->similarity_calls += calls;
+    stats->similarity_calls += sc.cells.size();
   }
 
   // Upper bound: every matched pair is at most its row maximum and its
@@ -203,8 +322,8 @@ VerifyDecision MaxMatchingVerifier::ScoreDecision(const SetRecord& r,
 
   if (d.upper < theta - margin) {
     // Even a perfect row-wise assignment cannot reach theta. Rejects are
-    // the dominant fast-path outcome, so this test runs before any edge
-    // materialization or sorting.
+    // the dominant fast-path outcome, so this test runs before the matrix
+    // exists.
     d.related = false;
     d.score = d.upper;
     if (stats != nullptr) ++stats->bound_rejects;
@@ -221,11 +340,14 @@ VerifyDecision MaxMatchingVerifier::ScoreDecision(const SetRecord& r,
     return d;
   }
 
+  WeightMatrix w(rows, cols);
+  for (const Cell& c : sc.cells) w.At(c.row, c.col) = c.value;
+
   // Lower bound: a greedy matching — rows visited in descending row-maximum
   // order, each taking its heaviest still-free column — is a feasible
   // matching, hence a lower bound on the optimum (Birn et al. show greedy
   // matchings are near-optimal in practice). Row ordering costs O(n log n)
-  // and the scan O(nm), no heavier than the matrix fill above; no per-edge
+  // and the scan O(nm), no heavier than building the matrix; no per-edge
   // materialization or sort.
   std::vector<uint32_t> order(rows);
   for (size_t i = 0; i < rows; ++i) order[i] = static_cast<uint32_t>(i);

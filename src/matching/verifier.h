@@ -71,15 +71,18 @@ class MaxMatchingVerifier {
   /// Bound-guided threshold test (Section 5.3 refinement): is the maximum
   /// matching score at least `theta`?
   ///
-  /// Builds the weight matrix once — skipping the φ call on cells whose
-  /// elements share no token when φ is 0 there (Jaccard), which leaves the
-  /// matrix bit-identical to a dense fill — then sandwiches the optimum
-  /// between cheap matching lower bounds and the min of the row-maxima and
-  /// column-maxima sums. Tier 1 is a greedy matching (rows in descending
-  /// row-max order take their heaviest free column); when it fails to settle
-  /// an accept, tier 2 runs the near-linear local-max matching (Birn et al.,
-  /// arXiv:1302.4587, a guaranteed 1/2-approximation) and the lower bound
-  /// becomes the max of the two — the bounds are incomparable in general.
+  /// Computes φ once per cell whose elements may share a token — when φ is
+  /// 0 on token-disjoint elements (Jaccard) the other cells are skipped, as
+  /// a dense fill would find them 0 — and rejects on the min of the
+  /// row-maxima and column-maxima sums before any matrix exists. Only a
+  /// candidate that survives builds the weight matrix, bit-identical to a
+  /// dense fill, and sandwiches the optimum between cheap matching lower
+  /// bounds and that upper bound. Tier 1 is a greedy matching (rows in
+  /// descending row-max order take their heaviest free column); when it
+  /// fails to settle an accept, tier 2 runs the near-linear local-max
+  /// matching (Birn et al., arXiv:1302.4587, a guaranteed
+  /// 1/2-approximation) and the lower bound becomes the max of the two — the
+  /// bounds are incomparable in general.
   /// The bounds settle the decision outside `(theta - margin, theta +
   /// margin)`; the exact O(n³) Hungarian solver runs only in that ambiguous
   /// band (counted in `exact_solves`), deciding `score >= theta -
@@ -125,12 +128,6 @@ class MaxMatchingVerifier {
   bool ReductionActive() const { return reduction_active_; }
 
  private:
-  /// Applies reduction-based peeling (when active) and emits the surviving
-  /// element pointers; returns the number of identical pairs removed.
-  size_t SelectElements(const SetRecord& r, const SetRecord& s,
-                        std::vector<const Element*>* r_elems,
-                        std::vector<const Element*>* s_elems) const;
-
   const ElementSimilarity* sim_;
   double alpha_;
   bool reduction_active_;

@@ -13,6 +13,10 @@
 //     reference — the hash-map reduction peel rebuilt here, then a dense φ
 //     fill and the solver — while it makes at most one φ call per matrix
 //     cell, and fewer when φ is Jaccard (token-disjoint cells need none).
+//     Each decision, in plain, exact-score and floating-floor mode, also
+//     equals field for field (bounds bit for bit, every MatchingStats
+//     counter) the same tiers run on that reference peel and dense fill,
+//     over the corpus and over wide synthetic sets no corpus produces.
 //  3. The full search pass (scratch accumulator + bound-guided verification)
 //     reports the same accepted pairs with the same scores (within
 //     kFloatSlack) as the pre-refactor pipeline.
@@ -24,8 +28,10 @@
 // fire), and edit similarity (Eds over q-grams).
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,9 +45,11 @@
 #include "filter/check_filter.h"
 #include "filter/nn_filter.h"
 #include "matching/hungarian.h"
+#include "matching/local_max.h"
 #include "matching/verifier.h"
 #include "sig/scheme.h"
 #include "text/similarity.h"
+#include "util/rng.h"
 
 namespace silkmoth {
 namespace {
@@ -193,50 +201,56 @@ std::string ReferenceIdentityKey(const Element& e, SimilarityKind kind) {
   return key;
 }
 
-// Score() exactly as it was before the scan-based peel and the sparse fill:
-// the hash-map reduction peel (one key string per element, three
-// unordered_maps), then a dense φ fill of the survivors and the exact solver.
-double ReferenceExactScore(const SetRecord& r, const SetRecord& s,
-                           const Options& options) {
+// The reduction peel exactly as it was before the scan-based peel: one key
+// string per element, three unordered_maps. Emits the surviving elements in
+// order and returns the number of identical pairs peeled.
+size_t ReferencePeel(const SetRecord& r, const SetRecord& s,
+                     const Options& options,
+                     std::vector<const Element*>* r_elems,
+                     std::vector<const Element*>* s_elems) {
   const ElementSimilarity* sim = GetSimilarity(options.phi);
   const bool reduce = options.reduction && options.alpha <= kFloatSlack &&
                       sim->HasMetricDual();
-  std::vector<const Element*> r_elems;
-  std::vector<const Element*> s_elems;
   size_t reduced = 0;
   if (!reduce) {
-    for (const Element& e : r.elements) r_elems.push_back(&e);
-    for (const Element& e : s.elements) s_elems.push_back(&e);
-  } else {
-    std::unordered_map<std::string, int> s_counts;
-    for (const Element& e : s.elements) {
-      s_counts[ReferenceIdentityKey(e, options.phi)] += 1;
-    }
-    std::unordered_map<std::string, int> consumed;
-    for (const Element& e : r.elements) {
-      const std::string key = ReferenceIdentityKey(e, options.phi);
-      auto it = s_counts.find(key);
-      const int available = it == s_counts.end() ? 0 : it->second;
-      int& used = consumed[key];
-      if (used < available) {
-        ++used;
-        ++reduced;
-      } else {
-        r_elems.push_back(&e);
-      }
-    }
-    std::unordered_map<std::string, int> to_skip = consumed;
-    for (const Element& e : s.elements) {
-      auto it = to_skip.find(ReferenceIdentityKey(e, options.phi));
-      if (it != to_skip.end() && it->second > 0) {
-        --it->second;
-      } else {
-        s_elems.push_back(&e);
-      }
+    for (const Element& e : r.elements) r_elems->push_back(&e);
+    for (const Element& e : s.elements) s_elems->push_back(&e);
+    return 0;
+  }
+  std::unordered_map<std::string, int> s_counts;
+  for (const Element& e : s.elements) {
+    s_counts[ReferenceIdentityKey(e, options.phi)] += 1;
+  }
+  std::unordered_map<std::string, int> consumed;
+  for (const Element& e : r.elements) {
+    const std::string key = ReferenceIdentityKey(e, options.phi);
+    auto it = s_counts.find(key);
+    const int available = it == s_counts.end() ? 0 : it->second;
+    int& used = consumed[key];
+    if (used < available) {
+      ++used;
+      ++reduced;
+    } else {
+      r_elems->push_back(&e);
     }
   }
-  const double base = static_cast<double>(reduced);
-  if (r_elems.empty() || s_elems.empty()) return base;
+  std::unordered_map<std::string, int> to_skip = consumed;
+  for (const Element& e : s.elements) {
+    auto it = to_skip.find(ReferenceIdentityKey(e, options.phi));
+    if (it != to_skip.end() && it->second > 0) {
+      --it->second;
+    } else {
+      s_elems->push_back(&e);
+    }
+  }
+  return reduced;
+}
+
+// φ_α of every surviving cell: the dense fill.
+WeightMatrix ReferenceDenseFill(const std::vector<const Element*>& r_elems,
+                                const std::vector<const Element*>& s_elems,
+                                const Options& options) {
+  const ElementSimilarity* sim = GetSimilarity(options.phi);
   WeightMatrix w(r_elems.size(), s_elems.size());
   for (size_t i = 0; i < r_elems.size(); ++i) {
     for (size_t j = 0; j < s_elems.size(); ++j) {
@@ -244,9 +258,229 @@ double ReferenceExactScore(const SetRecord& r, const SetRecord& s,
           sim->ScoreThresholded(*r_elems[i], *s_elems[j], options.alpha);
     }
   }
-  return base + MaxWeightMatchingScore(w);
+  return w;
 }
 
+// Score() exactly as it was before the scan-based peel and the sparse fill:
+// the hash-map reduction peel, then a dense φ fill of the survivors and the
+// exact solver.
+double ReferenceExactScore(const SetRecord& r, const SetRecord& s,
+                           const Options& options) {
+  std::vector<const Element*> r_elems;
+  std::vector<const Element*> s_elems;
+  const double base =
+      static_cast<double>(ReferencePeel(r, s, options, &r_elems, &s_elems));
+  if (r_elems.empty() || s_elems.empty()) return base;
+  return base +
+         MaxWeightMatchingScore(ReferenceDenseFill(r_elems, s_elems, options));
+}
+
+// Bit `id mod 64` of every token id.
+uint64_t ReferenceTokenMask(const Element& e) {
+  uint64_t mask = 0;
+  for (TokenId t : e.tokens) mask |= uint64_t{1} << (t % 64);
+  return mask;
+}
+
+// ScoreDecision's tiers run on the reference peel and a dense fill: the
+// upper bound is the Σ of row and of column maxima, summed in index order;
+// then the θ reject, the floor reject, the row-greedy and local-max lower
+// bounds and the solver. `similarity_calls` counts the surviving cells
+// whose token masks share a bit when φ is 0 on token-disjoint elements (the
+// calls ScoreDecision makes), and every surviving cell otherwise.
+VerifyDecision ReferenceDecision(const SetRecord& r, const SetRecord& s,
+                                 const Options& options, double theta,
+                                 double margin, bool need_exact_score,
+                                 double floor_theta, MatchingStats* stats) {
+  margin = std::max(margin, kFloatSlack);
+  std::vector<const Element*> r_elems;
+  std::vector<const Element*> s_elems;
+  const size_t reduced = ReferencePeel(r, s, options, &r_elems, &s_elems);
+  stats->reduced_pairs = reduced;
+  const double base = static_cast<double>(reduced);
+  VerifyDecision d;
+  if (r_elems.empty() || s_elems.empty()) {
+    d.lower = d.upper = d.score = base;
+    d.exact = true;
+    d.related = d.score >= theta - kFloatSlack;
+    ++(d.related ? stats->bound_accepts : stats->bound_rejects);
+    return d;
+  }
+
+  const size_t rows = r_elems.size();
+  const size_t cols = s_elems.size();
+  const WeightMatrix w = ReferenceDenseFill(r_elems, s_elems, options);
+  const bool sparse = GetSimilarity(options.phi)->ZeroWhenTokensDisjoint();
+  std::vector<double> row_max(rows, 0.0);
+  std::vector<double> col_max(cols, 0.0);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      row_max[i] = std::max(row_max[i], w.At(i, j));
+      col_max[j] = std::max(col_max[j], w.At(i, j));
+      if (!sparse || (ReferenceTokenMask(*r_elems[i]) &
+                      ReferenceTokenMask(*s_elems[j])) != 0) {
+        ++stats->similarity_calls;
+      }
+    }
+  }
+  stats->matrix_rows = rows;
+  stats->matrix_cols = cols;
+  double row_sum = 0.0;
+  for (double v : row_max) row_sum += v;
+  double col_sum = 0.0;
+  for (double v : col_max) col_sum += v;
+  d.upper = base + std::min(row_sum, col_sum);
+  d.lower = base;
+  d.score = d.upper;
+  if (d.upper < theta - margin) {
+    ++stats->bound_rejects;
+    return d;
+  }
+  if (floor_theta > theta && d.upper < floor_theta - margin) {
+    ++stats->floor_rejects;
+    return d;
+  }
+
+  // Row-greedy: rows by descending row maximum (ties by index), each taking
+  // its heaviest free column (ties by index).
+  std::vector<size_t> order(rows);
+  for (size_t i = 0; i < rows; ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return row_max[a] > row_max[b];
+  });
+  std::vector<bool> used(cols, false);
+  double greedy = 0.0;
+  for (size_t i : order) {
+    size_t best_j = cols;
+    for (size_t j = 0; j < cols; ++j) {
+      if (!used[j] && w.At(i, j) > (best_j == cols ? 0.0 : w.At(i, best_j))) {
+        best_j = j;
+      }
+    }
+    if (best_j == cols) continue;
+    used[best_j] = true;
+    greedy += w.At(i, best_j);
+  }
+  d.lower = base + greedy;
+  size_t* accept_counter = &stats->bound_accepts;
+  if (d.lower < theta + margin) {
+    d.lower = base + std::max(greedy, LocalMaxMatchingScore(w));
+    accept_counter = &stats->tier2_accepts;
+  }
+  if (d.lower >= theta + margin) {
+    d.related = true;
+    d.score = d.lower;
+    if (need_exact_score) {
+      d.score = base + MaxWeightMatchingScore(w);
+      d.exact = true;
+      ++stats->reporting_solves;
+    }
+    ++*accept_counter;
+    return d;
+  }
+  d.score = base + MaxWeightMatchingScore(w);
+  d.exact = true;
+  d.related = d.score >= theta - kFloatSlack;
+  ++stats->exact_solves;
+  return d;
+}
+
+// Runs ScoreDecision and ReferenceDecision on the same arguments and
+// expects every VerifyDecision and MatchingStats field to match exactly.
+// Returns the verifier's decision and stores its counters in `stats`.
+VerifyDecision ExpectDecisionMatchesReference(
+    const MaxMatchingVerifier& verifier, const SetRecord& r,
+    const SetRecord& s, const Options& options, double theta, double margin,
+    bool need_exact_score, double floor_theta, const std::string& where,
+    MatchingStats* stats) {
+  MatchingStats got_stats;
+  const VerifyDecision got = verifier.ScoreDecision(
+      r, s, theta, &got_stats, margin, need_exact_score, floor_theta);
+  MatchingStats want_stats;
+  const VerifyDecision want =
+      ReferenceDecision(r, s, options, theta, margin, need_exact_score,
+                        floor_theta, &want_stats);
+  const std::string ctx = where + ", theta " + std::to_string(theta) +
+                          ", need_exact " + std::to_string(need_exact_score) +
+                          ", floor " + std::to_string(floor_theta);
+  EXPECT_EQ(got.related, want.related) << ctx;
+  EXPECT_EQ(got.exact, want.exact) << ctx;
+  EXPECT_EQ(got.upper, want.upper) << ctx;
+  EXPECT_EQ(got.lower, want.lower) << ctx;
+  EXPECT_EQ(got.score, want.score) << ctx;
+  EXPECT_EQ(got_stats.matrix_rows, want_stats.matrix_rows) << ctx;
+  EXPECT_EQ(got_stats.matrix_cols, want_stats.matrix_cols) << ctx;
+  EXPECT_EQ(got_stats.reduced_pairs, want_stats.reduced_pairs) << ctx;
+  EXPECT_EQ(got_stats.similarity_calls, want_stats.similarity_calls) << ctx;
+  EXPECT_EQ(got_stats.bound_accepts, want_stats.bound_accepts) << ctx;
+  EXPECT_EQ(got_stats.bound_rejects, want_stats.bound_rejects) << ctx;
+  EXPECT_EQ(got_stats.tier2_accepts, want_stats.tier2_accepts) << ctx;
+  EXPECT_EQ(got_stats.floor_rejects, want_stats.floor_rejects) << ctx;
+  EXPECT_EQ(got_stats.exact_solves, want_stats.exact_solves) << ctx;
+  EXPECT_EQ(got_stats.reporting_solves, want_stats.reporting_solves) << ctx;
+  *stats = got_stats;
+  return got;
+}
+
+// Sets no corpus config produces (corpus sets stay at or under 30
+// elements): 65-150 elements, so S spans two or three 64-bit words; elements
+// with no tokens (empty text for edit φ); token ids 64 and 128 apart, which
+// share a mask bit without sharing a token; and identical elements repeated
+// within a set and across sets. Every set draws most elements from one
+// shared base sequence, so pairs peel many identical elements and still
+// leave multi-word residues. Jaccard elements carry sorted token ids (the
+// text spells them); edit-similarity elements carry short strings, which is
+// all Eds and NEds read.
+std::vector<SetRecord> MakeWideSets(SimilarityKind phi, uint64_t seed) {
+  Rng rng(seed);
+  auto arena = std::make_shared<ElementArena>();
+  struct Shape {
+    std::string text;
+    std::vector<TokenId> tokens;
+  };
+  const auto random_shape = [&] {
+    Shape shape;
+    if (IsEditSimilarity(phi)) {
+      const int64_t len = rng.NextInRange(0, 6);
+      for (int64_t k = 0; k < len; ++k) {
+        shape.text.push_back(static_cast<char>('a' + rng.NextBounded(4)));
+      }
+      return shape;
+    }
+    const int64_t count = rng.NextInRange(0, 3);
+    for (int64_t k = 0; k < count; ++k) {
+      // Ids 0-11 plus 64 or 128: many collide mod 64.
+      const TokenId t = static_cast<TokenId>(rng.NextBounded(12) +
+                                             64 * rng.NextBounded(3));
+      shape.tokens.push_back(t);
+    }
+    std::sort(shape.tokens.begin(), shape.tokens.end());
+    shape.tokens.erase(std::unique(shape.tokens.begin(), shape.tokens.end()),
+                       shape.tokens.end());
+    for (TokenId t : shape.tokens) shape.text += std::to_string(t) + " ";
+    return shape;
+  };
+  std::vector<Shape> pool(40);
+  for (Shape& shape : pool) shape = random_shape();
+  std::vector<size_t> base(150);
+  for (size_t& k : base) k = rng.NextBounded(pool.size());
+
+  std::vector<SetRecord> sets(4);
+  for (SetRecord& set : sets) {
+    set.arena = arena;
+    const size_t n = static_cast<size_t>(rng.NextInRange(65, 150));
+    for (size_t k = 0; k < n; ++k) {
+      const Shape shape = rng.NextBool(0.75)
+                              ? pool[base[k]]
+                              : rng.NextBool(0.5) ? random_shape()
+                                                  : pool[rng.NextBounded(
+                                                        pool.size())];
+      set.elements.push_back(MakeArenaElement(arena.get(), shape.text,
+                                              shape.tokens));
+    }
+  }
+  return sets;
+}
 // The full pre-refactor search pass: reference accumulator, shared NN
 // filter, exact verification.
 std::vector<SearchMatch> ReferenceSearchPass(const SetRecord& ref,
@@ -316,6 +550,7 @@ TEST_P(PerfEquivalenceSweep, BoundDecisionsMatchExactVerification) {
   size_t similarity_calls = 0;
   size_t matrix_cells = 0;
   size_t reduced_pairs = 0;
+  size_t floor_rejects = 0;
   for (uint32_t r = 0; r < data.sets.size(); ++r) {
     for (uint32_t s = 0; s < data.sets.size(); ++s) {
       const SetRecord& rs = data.sets[r];
@@ -332,9 +567,21 @@ TEST_P(PerfEquivalenceSweep, BoundDecisionsMatchExactVerification) {
       const double exact = verifier.Score(rs, ss);
       const double reference = ReferenceExactScore(rs, ss, opt);
       EXPECT_EQ(exact, reference) << cfg.name;
+      const std::string where = std::string(cfg.name) + " pair (" +
+                                std::to_string(r) + ", " +
+                                std::to_string(s) + ")";
       MatchingStats stats;
-      const VerifyDecision d =
-          verifier.ScoreDecision(rs, ss, theta, &stats, margin);
+      const VerifyDecision d = ExpectDecisionMatchesReference(
+          verifier, rs, ss, opt, theta, margin, /*need_exact_score=*/false,
+          /*floor_theta=*/-1.0, where, &stats);
+      // Exact-score mode, and a floor one above the optimum, which drops
+      // every candidate whose upper bound lies less than one above it.
+      MatchingStats mode_stats;
+      ExpectDecisionMatchesReference(verifier, rs, ss, opt, theta, margin,
+                                     true, -1.0, where, &mode_stats);
+      ExpectDecisionMatchesReference(verifier, rs, ss, opt, theta, margin,
+                                     true, exact + 1.0, where, &mode_stats);
+      floor_rejects += mode_stats.floor_rejects;
       if (d.exact) {
         EXPECT_EQ(d.score, reference) << cfg.name;
       }
@@ -405,6 +652,62 @@ TEST_P(PerfEquivalenceSweep, BoundDecisionsMatchExactVerification) {
   }
   if (verifier.ReductionActive()) {
     EXPECT_GT(reduced_pairs, 0u) << cfg.name;
+  }
+  EXPECT_GT(floor_rejects, 0u) << cfg.name;
+
+  // Wide synthetic sets, against the reference tiers at θ on both sides of
+  // each pair's optimum.
+  const std::vector<SetRecord> wide =
+      MakeWideSets(opt.phi, /*seed=*/11 + static_cast<uint64_t>(cfg.delta * 10));
+  MatchingStats wide_stats;
+  size_t wide_cells = 0;
+  for (size_t r = 0; r < wide.size(); ++r) {
+    for (size_t s = 0; s < wide.size(); ++s) {
+      const SetRecord& rs = wide[r];
+      const SetRecord& ss = wide[s];
+      const double exact = verifier.Score(rs, ss);
+      EXPECT_EQ(exact, ReferenceExactScore(rs, ss, opt)) << cfg.name;
+      const double margin =
+          kFloatSlack * (static_cast<double>(rs.Size() + ss.Size()) + 2.0);
+      const std::string where = std::string(cfg.name) + " wide pair (" +
+                                std::to_string(r) + ", " +
+                                std::to_string(s) + ")";
+      for (const double theta :
+           {RelatedScoreThreshold(rs.Size(), ss.Size(), opt), exact / 2,
+            exact, exact + 0.5}) {
+        // Plain, exact-score and floating-floor mode.
+        for (const auto& [need_exact, floor_theta] :
+             {std::pair{false, -1.0}, std::pair{true, -1.0},
+              std::pair{true, exact + 1.0}}) {
+          MatchingStats st;
+          ExpectDecisionMatchesReference(verifier, rs, ss, opt, theta, margin,
+                                         need_exact, floor_theta, where, &st);
+          wide_cells += st.matrix_rows * st.matrix_cols;
+          wide_stats.similarity_calls += st.similarity_calls;
+          wide_stats.reduced_pairs += st.reduced_pairs;
+          wide_stats.bound_rejects += st.bound_rejects;
+          wide_stats.floor_rejects += st.floor_rejects;
+          wide_stats.bound_accepts += st.bound_accepts + st.tier2_accepts;
+          wide_stats.exact_solves += st.exact_solves;
+          wide_stats.reporting_solves += st.reporting_solves;
+        }
+      }
+    }
+  }
+  // Every tier must fire, and the shapes must make the sparse fill skip
+  // cells and the reduction peel pairs where each applies.
+  EXPECT_GT(wide_stats.bound_rejects, 0u) << cfg.name;
+  EXPECT_GT(wide_stats.floor_rejects, 0u) << cfg.name;
+  EXPECT_GT(wide_stats.bound_accepts, 0u) << cfg.name;
+  EXPECT_GT(wide_stats.exact_solves, 0u) << cfg.name;
+  EXPECT_GT(wide_stats.reporting_solves, 0u) << cfg.name;
+  if (GetSimilarity(opt.phi)->ZeroWhenTokensDisjoint()) {
+    EXPECT_LT(wide_stats.similarity_calls, wide_cells) << cfg.name;
+  } else {
+    EXPECT_EQ(wide_stats.similarity_calls, wide_cells) << cfg.name;
+  }
+  if (verifier.ReductionActive()) {
+    EXPECT_GT(wide_stats.reduced_pairs, 0u) << cfg.name;
   }
 }
 
